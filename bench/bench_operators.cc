@@ -406,7 +406,21 @@ BENCHMARK(BM_GroupKeyBuildEncoded)->Unit(benchmark::kMillisecond);
 // ---------------------------------------------------------------------------
 // Dictionary-encoding microbenches (bench "operators_dict"): the same
 // operation on the same data, payload bytes vs int32 dictionary codes.
+// The payload leg runs on a copy of the table whose string columns
+// dropped their dictionary (Column::DropDictionary), which is the state
+// every consumer falls back on.
 // ---------------------------------------------------------------------------
+
+/// Copy of `t` with every dictionary dropped: same rows, payload only.
+storage::TablePtr WithoutDictionaries(const storage::Table& t) {
+  auto copy = std::make_shared<storage::Table>(t.name(), t.schema());
+  for (size_t c = 0; c < t.num_columns(); ++c) {
+    copy->column(c) = t.column(c);
+    copy->column(c).DropDictionary();
+  }
+  copy->FinishBulkAppend();
+  return copy;
+}
 
 /// 1M-row table whose string column draws from 64 same-length values
 /// sharing a long common prefix (the worst case for byte-wise equality,
@@ -433,10 +447,15 @@ const storage::Table& DictMicroTable() {
   return *table;
 }
 
+/// DictMicroTable() without its dictionary (the payload legs).
+const storage::Table& PayloadMicroTable() {
+  static storage::TablePtr table = WithoutDictionaries(DictMicroTable());
+  return *table;
+}
+
 /// String-equality filter: payload byte-compare kernel vs the int32
 /// code-compare kernel (constant translated to a code at compile time).
-void DictFilterStringEq(benchmark::State& state, bool use_dictionaries) {
-  const storage::Table& t = DictMicroTable();
+void DictFilterStringEq(benchmark::State& state, const storage::Table& t) {
   auto expr = storage::Expr::Compare(
       storage::CompareOp::kEq, storage::Expr::Column("s"),
       storage::Expr::Constant(Value::String("category_value_031")));
@@ -444,8 +463,8 @@ void DictFilterStringEq(benchmark::State& state, bool use_dictionaries) {
     state.SkipWithError("bind failed");
     return;
   }
-  auto compiled = exec::vector::CompiledPredicate::Compile(
-      *expr, t.schema(), &t, use_dictionaries);
+  auto compiled =
+      exec::vector::CompiledPredicate::Compile(*expr, t.schema(), &t);
   if (compiled == nullptr) {
     state.SkipWithError("predicate did not lower");
     return;
@@ -461,10 +480,10 @@ void DictFilterStringEq(benchmark::State& state, bool use_dictionaries) {
   state.counters["rows"] = static_cast<double>(sel.size());
 }
 void BM_DictFilterStringEqPayload(benchmark::State& state) {
-  DictFilterStringEq(state, false);
+  DictFilterStringEq(state, PayloadMicroTable());
 }
 void BM_DictFilterStringEqDict(benchmark::State& state) {
-  DictFilterStringEq(state, true);
+  DictFilterStringEq(state, DictMicroTable());
 }
 BENCHMARK(BM_DictFilterStringEqPayload)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DictFilterStringEqDict)->Unit(benchmark::kMillisecond);
@@ -510,10 +529,11 @@ const DictJoinData& DictJoinTables() {
 
 /// String join-key hash probe: byte hashing + memcmp on the payload path
 /// vs int64 code hashing + int32 compare on the dictionary path.
-void DictJoinProbeString(benchmark::State& state, bool use_dictionaries) {
+void DictJoinProbeString(benchmark::State& state,
+                         const storage::Table& build) {
   const DictJoinData& d = DictJoinTables();
   exec::JoinHashTable ht;
-  Status st = ht.Build(*d.build, {"k"}, use_dictionaries);
+  Status st = ht.Build(build, {"k"});
   if (!st.ok()) {
     state.SkipWithError(st.ToString().c_str());
     return;
@@ -536,20 +556,20 @@ void DictJoinProbeString(benchmark::State& state, bool use_dictionaries) {
   }
 }
 void BM_DictJoinProbeStringPayload(benchmark::State& state) {
-  DictJoinProbeString(state, false);
+  static storage::TablePtr payload_build =
+      WithoutDictionaries(*DictJoinTables().build);
+  DictJoinProbeString(state, *payload_build);
 }
 void BM_DictJoinProbeStringDict(benchmark::State& state) {
-  DictJoinProbeString(state, true);
+  DictJoinProbeString(state, *DictJoinTables().build);
 }
 BENCHMARK(BM_DictJoinProbeStringPayload)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DictJoinProbeStringDict)->Unit(benchmark::kMillisecond);
 
 /// GROUP BY key build over a dictionary string column: length-prefixed
 /// byte append + byte hash vs fixed32 code append + int64 hash.
-void DictGroupKeyString(benchmark::State& state, bool use_dictionaries) {
-  const storage::Table& t = DictMicroTable();
-  auto encoder = exec::vector::KeyEncoder::Make({LogicalType::kString},
-                                                use_dictionaries);
+void DictGroupKeyString(benchmark::State& state, const storage::Table& t) {
+  auto encoder = exec::vector::KeyEncoder::Make({LogicalType::kString});
   if (encoder == nullptr) {
     state.SkipWithError("encoder unavailable");
     return;
@@ -566,10 +586,10 @@ void DictGroupKeyString(benchmark::State& state, bool use_dictionaries) {
   }
 }
 void BM_DictGroupKeyStringPayload(benchmark::State& state) {
-  DictGroupKeyString(state, false);
+  DictGroupKeyString(state, PayloadMicroTable());
 }
 void BM_DictGroupKeyStringDict(benchmark::State& state) {
-  DictGroupKeyString(state, true);
+  DictGroupKeyString(state, DictMicroTable());
 }
 BENCHMARK(BM_DictGroupKeyStringPayload)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DictGroupKeyStringDict)->Unit(benchmark::kMillisecond);

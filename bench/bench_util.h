@@ -19,21 +19,11 @@ namespace bench {
 ///   --scale <f>    dataset scale factor (default per bench)
 ///   --reps <n>     timed repetitions per query (default 2)
 ///   --threads <n>  pipeline-engine worker threads (default 4)
-///   --dict on|off  string dictionary encoding (default on); the off leg
-///                  of a same-machine A/B pair — its records land in the
-///                  JSON under "<bench>_nodict" so the two legs stay
-///                  separable in the accumulated trajectory
 struct BenchArgs {
   double scale = 1.0;
   int reps = 2;
   int threads = 4;
-  bool dictionary = true;
 };
-
-/// Process-wide mirror of BenchArgs::dictionary, set by ParseArgs; read
-/// by BenchExecOptions (so every harness leg of a bench inherits it) and
-/// by BenchJson::Add (record tagging).
-inline bool g_dictionary_encoding = true;
 
 inline BenchArgs ParseArgs(int argc, char** argv, double default_scale) {
   BenchArgs args;
@@ -46,11 +36,8 @@ inline BenchArgs ParseArgs(int argc, char** argv, double default_scale) {
       args.reps = std::atoi(argv[++i]);
     } else if (a == "--threads" && i + 1 < argc) {
       args.threads = std::atoi(argv[++i]);
-    } else if (a == "--dict" && i + 1 < argc) {
-      args.dictionary = std::string(argv[++i]) != "off";
     }
   }
-  g_dictionary_encoding = args.dictionary;
   if (args.threads <= 0) {
     // 0 (or garbage) means hardware concurrency, like
     // ExecutionOptions::num_threads; resolve it here so tables and JSON
@@ -149,12 +136,7 @@ class BenchJson {
     return instance;
   }
 
-  void Add(BenchRecord record) {
-    // The dictionary-off A/B leg gets its own bench tag so on/off pairs
-    // never interleave within one bench name across accumulated runs.
-    if (!g_dictionary_encoding) record.bench += "_nodict";
-    records_.push_back(std::move(record));
-  }
+  void Add(BenchRecord record) { records_.push_back(std::move(record)); }
 
   /// Tags and records a harness grid run under one engine configuration.
   void AddGrid(const std::string& bench, const std::string& workload,
@@ -405,13 +387,15 @@ inline Database* MakeImdb(double scale) {
 /// real filter evaluation and real optimization — the accumulated
 /// BENCH_pipeline.json trajectory stays comparable across PRs, and cache
 /// amortization is measured by the one bench built for it
-/// (bench_fig13_concurrency, which opts back in).
+/// (bench_fig13_concurrency, which opts back in). The engine is pinned to
+/// the materializing reference: every bench's un-tagged harness leg is
+/// recorded as "materialize", and pipeline legs go through EngineOptions.
 inline exec::ExecutionOptions BenchExecOptions() {
   exec::ExecutionOptions options;
+  options.engine = exec::EngineKind::kMaterialize;
   options.timeout_ms = 30'000.0;
   options.scan_cache = false;
   options.plan_cache = false;
-  options.dictionary_encoding = g_dictionary_encoding;
   return options;
 }
 

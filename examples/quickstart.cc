@@ -117,22 +117,28 @@ Status RunQuickstart() {
                    .Build();
 
   // --- 4. Optimize + execute under both paradigms. ---------------------------
+  // ExecutionOptions select the runtime. kPipeline (the default) runs the
+  // plan as vectorized pipelines on a worker pool; kMaterialize is the
+  // deliberately naive operator-at-a-time reference interpreter the
+  // pipeline engine is tested against. This section runs the reference.
+  exec::ExecutionOptions reference_options;
+  reference_options.engine = exec::EngineKind::kMaterialize;
   for (auto mode : {optimizer::OptimizerMode::kRelGo,
                     optimizer::OptimizerMode::kDuckDB}) {
     RELGO_ASSIGN_OR_RETURN(auto explain, db.Explain(query, mode));
     std::printf("--- %s plan ---\n%s\n", optimizer::ModeName(mode),
                 explain.c_str());
-    RELGO_ASSIGN_OR_RETURN(auto result, db.Run(query, mode));
+    RELGO_ASSIGN_OR_RETURN(auto result,
+                           db.Run(query, mode, reference_options));
     std::printf("result (%s, opt %.2f ms, exec %.2f ms):\n%s\n",
                 optimizer::ModeName(mode), result.optimization_ms,
                 result.execution_ms, result.table->ToString().c_str());
   }
 
   // --- 4b. The same plan on the morsel-driven pipeline engine. ---------------
-  // ExecutionOptions select the runtime: kMaterialize is the reference
-  // operator-at-a-time interpreter; kPipeline decomposes the plan into
-  // vectorized pipelines executed by a worker pool (num_threads = 0 means
-  // hardware concurrency). Results are identical bags.
+  // kPipeline decomposes the plan into vectorized pipelines executed by a
+  // worker pool (num_threads = 0 means hardware concurrency). Results are
+  // identical bags to the reference's.
   exec::ExecutionOptions pipeline_options;
   pipeline_options.engine = exec::EngineKind::kPipeline;
   pipeline_options.num_threads = 0;
@@ -148,7 +154,8 @@ Status RunQuickstart() {
   // count and operator time; the footer aggregates Q-error plan-wide.
   RELGO_ASSIGN_OR_RETURN(
       auto analyzed,
-      db.ExplainAnalyze(query, optimizer::OptimizerMode::kRelGo));
+      db.ExplainAnalyze(query, optimizer::OptimizerMode::kRelGo,
+                        reference_options));
   std::printf("--- EXPLAIN ANALYZE (RelGo, materialize: tree shape) ---\n%s\n",
               analyzed.c_str());
 

@@ -56,7 +56,7 @@ struct ProfiledRunResult {
 /// optimizer front door — and the concurrent-serving substrate: one
 /// process-wide morsel worker pool every pipeline query shares (Leis et
 /// al.'s one-pool-per-process design) plus the cross-query scan/filter
-/// cache both engines consult.
+/// cache the pipeline engine consults.
 ///
 /// Thread-safety: after Finalize(), Run / RunProfiled / Execute /
 /// Optimize / Explain / ExplainAnalyze may be called from any number of
@@ -140,10 +140,11 @@ class Database {
   void ResetAdaptiveStats() const { feedback_.Clear(); }
 
   /// The cross-query scan/filter cache (ROADMAP "Shared scan caching"):
-  /// filtered base-table scans of both engines store their selection
-  /// vectors here, keyed by the feedback layer's scan signatures and
-  /// invalidated by table version counters. Consulted by every execution
-  /// unless ExecutionOptions::scan_cache is off.
+  /// the pipeline engine's filtered base-table scans store their
+  /// selection vectors here, keyed by the feedback layer's scan
+  /// signatures and invalidated by table version counters. Consulted by
+  /// every pipeline execution unless ExecutionOptions::scan_cache is off;
+  /// the materializing reference never reads or writes it.
   const exec::ScanCache& scan_cache() const { return scan_cache_; }
   /// Empties the cache (A/B measurement, tests). `const` like
   /// ResetAdaptiveStats: the cache is derived state, not content.

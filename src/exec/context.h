@@ -33,14 +33,19 @@ class TaskScheduler;
 
 /// Which runtime interprets the physical plan.
 ///
-///  * kMaterialize — the reference operator-at-a-time interpreter
-///    (exec/executor.*): every operator fully materializes its output.
 ///  * kPipeline    — the morsel-driven vectorized engine
-///    (exec/pipeline/*): the plan is decomposed into pipelines split at
-///    breakers and executed batch-at-a-time by a worker pool.
+///    (exec/pipeline/*), the default: the plan is decomposed into
+///    pipelines split at breakers and executed batch-at-a-time by a
+///    worker pool, with compiled filter kernels, string dictionaries,
+///    typed group keys and the cross-query scan cache.
+///  * kMaterialize — the deliberately naive reference interpreter
+///    (exec/executor.*): every operator fully materializes its output
+///    from boxed Values and row-at-a-time Expr::EvaluateBool. It shares
+///    no kernel, key encoder, hash table or cache with the pipeline
+///    engine, so it can check them.
 ///
 /// Both engines produce identical result bags (pipeline_parity_test.cc);
-/// the materializing engine remains the oracle for differential testing.
+/// the materializing engine is the oracle for differential testing.
 /// Pipeline row order is deterministic and thread-count independent
 /// (sinks merge in morsel order, equal to the sequential scan order), so
 /// repeated runs are reproducible; ORDER BY + LIMIT tie-breaking can still
@@ -82,16 +87,19 @@ struct ExecutionOptions {
   uint64_t max_total_rows = 80'000'000;
   /// Wall-clock limit; kTimeout past this.
   double timeout_ms = 600'000.0;
-  /// Runtime selection; the materializing executor is the default oracle.
-  EngineKind engine = EngineKind::kMaterialize;
+  /// Runtime selection. The pipeline engine is the default; pass
+  /// kMaterialize explicitly to run the naive reference.
+  EngineKind engine = EngineKind::kPipeline;
   /// Worker threads for the pipeline engine. 0 = hardware concurrency;
   /// 1 = single-threaded deterministic mode (used by tests). Ignored by the
   /// materializing engine.
   int num_threads = 0;
   /// Consult the owning Database's cross-query scan/filter cache (ROADMAP
-  /// "Shared scan caching"): filtered base-table scans reuse selection
-  /// vectors computed by earlier queries instead of re-evaluating the
-  /// predicate, invalidated by the table's version counter. Results are
+  /// "Shared scan caching"): the pipeline engine's filtered base-table
+  /// scans reuse selection vectors computed by earlier queries instead of
+  /// re-evaluating the predicate, invalidated by the table's version
+  /// counter. The materializing reference never reads or publishes
+  /// entries, whatever this flag says. Results are
   /// bit-identical either way (the cache stores exactly what the filter
   /// loop would have produced, and row-budget charges are unchanged), so
   /// this is on by default; the off switch exists for A/B measurement and
@@ -138,30 +146,6 @@ struct ExecutionOptions {
   /// wall time reaches this many milliseconds is recorded as one
   /// structured line in the Database's SlowQueryLog. <= 0 disables.
   double slow_query_ms = 0.0;
-  /// Evaluate filters through the vectorized kernel layer
-  /// (src/exec/vector/): bound predicates are lowered once per scan /
-  /// filter into typed kernels over column payload spans and selection
-  /// vectors, and typed key extraction replaces boxed Value rows in
-  /// hash-join build/probe, GROUP BY and TopK. Predicates the lowerer
-  /// cannot cover fall back to row-at-a-time Expr::EvaluateBool, and
-  /// kernel semantics are bit-identical to that path
-  /// (vector_kernel_test pins the parity), so this is on by default;
-  /// the off switch exists for A/B measurement and differential tests.
-  bool vectorized_kernels = true;
-  /// Use the per-column string dictionaries built at Database::Finalize
-  /// (sorted-unique dictionary + int32 code vector, storage/column.h):
-  /// string =, !=, IN and — on sorted dictionaries — range predicates
-  /// lower to int32 code kernels with compile-time constant
-  /// translation, StartsWith/Contains probe a per-distinct-value pass
-  /// bitmap, hash-join string keys and GROUP BY string keys hash codes
-  /// instead of bytes, and ORDER BY / TopK compare codes when both
-  /// slots share a sorted dictionary. Every code path re-checks the
-  /// dictionary pointer per batch and falls back to the string payload
-  /// when a derived column dropped or never had one, and results are
-  /// byte-identical on/off (dictionary_test pins the parity), so this
-  /// is on by default; the off switch exists for A/B measurement and
-  /// differential tests.
-  bool dictionary_encoding = true;
   /// When set, the Database stores the query id it minted for this run
   /// (the same id that keys traces, the slow-query log, and the
   /// cancellation registry) before execution starts — the handle a
@@ -283,14 +267,14 @@ class ExecutionContext {
   /// --- Deferred scan-cache publication -------------------------------
   ///
   /// Failed (cancelled, timed-out, faulted) queries must never publish
-  /// scan-cache entries, so the engines no longer Put into the cache
-  /// mid-query: completed selections/bitmaps are queued here and the
-  /// Database commits the queue only after the whole query succeeded
+  /// scan-cache entries, so the pipeline engine does not Put into the
+  /// cache mid-query: completed selections/bitmaps are queued here and
+  /// the Database commits the queue only after the whole query succeeded
   /// (dropping it on any failure). Entries are complete and correct at
   /// queue time — deferral only narrows *when* they become visible to
   /// other queries. Queue sites run on the owning thread (scan Prepare,
-  /// pipeline-finished hooks, the materializing interpreter), but a small
-  /// mutex keeps the queue safe if that ever changes.
+  /// pipeline-finished hooks), but a small mutex keeps the queue safe if
+  /// that ever changes.
 
   void QueuePutSelection(
       std::string key, uint64_t version,

@@ -17,7 +17,7 @@ Result<SharedBitmap> FilterBitmap(const storage::TablePtr& table,
   // Replay an earlier query's bitmap for the same (table, predicate)
   // signature and table version. The "bitmap|" namespace never collides
   // with the selection-vector namespaces ("scan|", "vscan|").
-  ScanCache* cache = ctx != nullptr ? ctx->scan_cache() : nullptr;
+  ScanCache* cache = ctx->scan_cache();
   std::string key;
   uint64_t version = 0;
   if (cache != nullptr) {
@@ -36,12 +36,9 @@ Result<SharedBitmap> FilterBitmap(const storage::TablePtr& table,
   RELGO_RETURN_NOT_OK(bound->Bind(table->schema()));
 
   auto bitmap = std::make_shared<std::vector<uint8_t>>();
-  std::unique_ptr<vector::CompiledPredicate> compiled;
-  if (ctx == nullptr || ctx->options().vectorized_kernels) {
-    compiled = vector::CompiledPredicate::Compile(
-        *bound, table->schema(), table.get(),
-        ctx == nullptr || ctx->options().dictionary_encoding);
-  }
+  std::unique_ptr<vector::CompiledPredicate> compiled =
+      vector::CompiledPredicate::Compile(*bound, table->schema(),
+                                         table.get());
   if (compiled != nullptr) {
     std::vector<const storage::Column*> columns;
     columns.reserve(table->num_columns());

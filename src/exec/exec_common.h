@@ -1,13 +1,11 @@
 #ifndef RELGO_EXEC_EXEC_COMMON_H_
 #define RELGO_EXEC_EXEC_COMMON_H_
 
-#include <algorithm>
-#include <numeric>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "exec/context.h"
-#include "exec/vector/typed_keys.h"
 #include "plan/spjm_query.h"
 #include "storage/expression.h"
 #include "storage/table.h"
@@ -86,28 +84,29 @@ class SharedBitmap {
 };
 
 /// Evaluates `filter` once per row of `table` into a validity bitmap
-/// (empty when there is no filter). Expansion-style operators consult the
-/// bitmap per adjacency entry, turning per-expansion expression evaluation
-/// into a single table pass. The pipeline engine computes bitmaps during
+/// (empty when there is no filter). The pipeline engine's expansion-style
+/// operators consult the bitmap per adjacency entry, turning per-expansion
+/// expression evaluation into a single table pass computed during
 /// single-threaded operator Prepare, so workers only do bitmap loads.
 ///
 /// Two acceleration layers, both semantics-preserving (exec_common.cc):
-/// the predicate is lowered to vectorized kernels when
-/// ExecutionOptions::vectorized_kernels allows and the tree is lowerable
-/// (row-at-a-time fallback otherwise), and the finished bitmap is
-/// published to the cross-query ScanCache ("bitmap|..." namespace) so
-/// repeated expansions replay it instead of re-evaluating.
+/// the predicate is lowered to vectorized kernels (row-at-a-time
+/// EvaluateBool when CompiledPredicate::Compile cannot lower the tree),
+/// and the finished bitmap is published to the cross-query ScanCache
+/// ("bitmap|..." namespace) so repeated expansions replay it instead of
+/// re-evaluating. The materializing reference does not call this.
 Result<SharedBitmap> FilterBitmap(const storage::TablePtr& table,
                                   const storage::ExprPtr& filter,
                                   ExecutionContext* ctx);
 
 /// Three-way ORDER BY key comparison: the single source of truth for sort
 /// semantics (Value comparison incl. null ordering, per-key direction) in
-/// BOTH engines — SortTableByKeys below (materializing ORDER BY) and the
-/// pipeline engine's TopKSink. `a` / `b` map a key index to that row's
-/// key Value; template accessors so the O(n log n) sort paths inline the
-/// loads. Returns <0 / 0 / >0; ties are the caller's to break (stable
-/// sort order, or the pipeline's (morsel, row) sequence).
+/// BOTH engines — the materializing ORDER BY and the pipeline engine's
+/// TopKSink, whose typed comparisons are sign-identical to it. `a` / `b`
+/// map a key index to that row's key Value; template accessors so the
+/// O(n log n) sort paths inline the loads. Returns <0 / 0 / >0; ties are
+/// the caller's to break (stable sort order, or the pipeline's (morsel,
+/// row) sequence).
 template <typename AValueAt, typename BValueAt>
 int CompareSortKeyValues(const std::vector<plan::SortKey>& keys,
                          const AValueAt& a, const BValueAt& b) {
@@ -116,62 +115,6 @@ int CompareSortKeyValues(const std::vector<plan::SortKey>& keys,
     if (c != 0) return keys[i].ascending ? c : -c;
   }
   return 0;
-}
-
-/// ORDER BY over a materialized table (stable sort; charges the full row
-/// count). Shared by both engines so their comparator semantics — null
-/// ordering, multi-key tie-breaking — can never diverge.
-inline Result<storage::TablePtr> SortTableByKeys(
-    const std::vector<plan::SortKey>& keys, storage::TablePtr child,
-    ExecutionContext* ctx) {
-  std::vector<size_t> key_cols;
-  for (const auto& k : keys) {
-    RELGO_ASSIGN_OR_RETURN(size_t idx,
-                           child->schema().GetColumnIndex(k.column));
-    key_cols.push_back(idx);
-  }
-  std::vector<uint64_t> sel(child->num_rows());
-  std::iota(sel.begin(), sel.end(), 0);
-  if (ctx->options().vectorized_kernels) {
-    // Typed comparator: payload-span reads instead of boxing two Values
-    // per comparison; sign-identical (vector::TypedColumnCompare). With
-    // dictionary encoding on, string keys sharing a sorted dictionary
-    // compare int32 codes instead of bytes.
-    const bool use_dict = ctx->options().dictionary_encoding;
-    std::vector<const storage::Column*> kc;
-    for (size_t idx : key_cols) kc.push_back(&child->column(idx));
-    std::stable_sort(sel.begin(), sel.end(), [&](uint64_t a, uint64_t b) {
-      for (size_t i = 0; i < keys.size(); ++i) {
-        int c = vector::TypedColumnCompare(*kc[i], a, *kc[i], b, use_dict);
-        if (c != 0) return keys[i].ascending ? c < 0 : c > 0;
-      }
-      return false;
-    });
-  } else {
-    std::stable_sort(sel.begin(), sel.end(), [&](uint64_t a, uint64_t b) {
-      return CompareSortKeyValues(
-                 keys,
-                 [&](size_t i) { return child->GetValue(a, key_cols[i]); },
-                 [&](size_t i) { return child->GetValue(b, key_cols[i]); }) <
-             0;
-    });
-  }
-  RELGO_RETURN_NOT_OK(ctx->ChargeRows(sel.size()));
-  return GatherTable(*child, sel, child->name());
-}
-
-/// LIMIT over a materialized table; pass-through (uncharged) when the
-/// limit is absent or not reached. Shared by both engines.
-inline Result<storage::TablePtr> LimitTableRows(int64_t limit,
-                                                storage::TablePtr child,
-                                                ExecutionContext* ctx) {
-  if (limit < 0 || static_cast<uint64_t>(limit) >= child->num_rows()) {
-    return child;
-  }
-  std::vector<uint64_t> sel(static_cast<size_t>(limit));
-  std::iota(sel.begin(), sel.end(), 0);
-  RELGO_RETURN_NOT_OK(ctx->ChargeRows(sel.size()));
-  return GatherTable(*child, sel, child->name());
 }
 
 }  // namespace exec

@@ -45,6 +45,7 @@ Status EmitExpanded(const Batch& in, const std::vector<uint64_t>& sel,
 // ---------------------------------------------------------------------------
 
 Status FilterOp::Prepare(const Schema& input, ExecutionContext* ctx) {
+  (void)ctx;
   output_schema_ = input;
   // Bind a clone: the plan may share the predicate tree with the query it
   // was optimized from, and concurrent executions must not race on the
@@ -58,7 +59,7 @@ Status FilterOp::Prepare(const Schema& input, ExecutionContext* ctx) {
   // (dictionary lowering needs a compile-time column to fold constants
   // against). Scan pushdown compiles against the base table and covers
   // the hot string predicates; see compiled_expr.h.
-  if (predicate_ && ctx->options().vectorized_kernels) {
+  if (predicate_) {
     compiled_ = vector::CompiledPredicate::Compile(*predicate_, input);
   }
   return Status::OK();
@@ -120,7 +121,7 @@ Status HashJoinProbeOp::Prepare(const Schema& input, ExecutionContext* ctx) {
     probe_cols_.push_back(idx);
   }
   // Output schema: probe columns, then build columns minus drop_right minus
-  // duplicate names (matches exec::HashJoinTables).
+  // duplicate names (matches the materializing executor's hash join).
   output_schema_ = Schema();
   for (const auto& def : input.columns()) {
     RELGO_RETURN_NOT_OK(output_schema_.AddColumn(def));
@@ -919,8 +920,7 @@ Result<TablePtr> HashBuildSink::Finish(
   Timer timer;
   RELGO_RETURN_NOT_OK(fault::MaybeInject(fault::Site::kHashBuild));
   ht_ = std::make_shared<JoinHashTable>();
-  RELGO_RETURN_NOT_OK(ht_->BeginBuild(*table, keys_,
-                                      ctx->options().dictionary_encoding));
+  RELGO_RETURN_NOT_OK(ht_->BeginBuild(*table, keys_));
 
   // Phase 1: morsel-parallel scatter into per-worker partition runs (no
   // ordering assumed; FinalizePartition sorts each partition by row id).
@@ -972,26 +972,6 @@ Result<TablePtr> HashBuildSink::Finish(
 
 namespace {
 
-/// Group-by key wrapper with Value-based equality (mirrors the seed
-/// executor's aggregate).
-struct GroupKey {
-  std::vector<Value> values;
-  bool operator==(const GroupKey& other) const {
-    if (values.size() != other.values.size()) return false;
-    for (size_t i = 0; i < values.size(); ++i) {
-      if (!(values[i] == other.values[i])) return false;
-    }
-    return true;
-  }
-};
-struct GroupKeyHash {
-  size_t operator()(const GroupKey& k) const {
-    size_t h = 0xcbf29ce484222325ULL;
-    for (const auto& v : k.values) h = HashCombine(h, v.Hash());
-    return h;
-  }
-};
-
 struct AggState {
   int64_t count = 0;
   Value min, max;
@@ -1021,19 +1001,19 @@ struct PartialGroup {
   uint64_t first_row = 0;
 };
 
+/// Groups keyed on byte-encoded group keys read from payload spans
+/// (exec/vector/typed_keys.h).
+using GroupMap = std::unordered_map<vector::EncodedGroupKey, PartialGroup,
+                                    vector::EncodedGroupKeyHash>;
+
 struct AggregatePartial : SinkState {
-  std::unordered_map<GroupKey, PartialGroup, GroupKeyHash> groups;
-  /// Typed-path twin of `groups` (exec/vector/typed_keys.h): keyed on
-  /// byte-encoded group keys read from payload spans. A run populates
-  /// exactly one of the two maps (all workers share the sink's encoder).
-  std::unordered_map<vector::EncodedGroupKey, PartialGroup,
-                     vector::EncodedGroupKeyHash>
-      egroups;
+  GroupMap groups;
 };
 
 }  // namespace
 
 Status AggregateSink::Prepare(const Schema& input, ExecutionContext* ctx) {
+  (void)ctx;
   group_cols_.clear();
   for (const auto& g : op_.group_by) {
     RELGO_ASSIGN_OR_RETURN(size_t idx, input.GetColumnIndex(g));
@@ -1049,13 +1029,9 @@ Status AggregateSink::Prepare(const Schema& input, ExecutionContext* ctx) {
     }
   }
   input_schema_ = input;
-  encoder_.reset();
-  if (ctx->options().vectorized_kernels) {
-    std::vector<LogicalType> key_types;
-    for (size_t c : group_cols_) key_types.push_back(input.column(c).type);
-    encoder_ = vector::KeyEncoder::Make(key_types,
-                                        ctx->options().dictionary_encoding);
-  }
+  std::vector<LogicalType> key_types;
+  for (size_t c : group_cols_) key_types.push_back(input.column(c).type);
+  encoder_ = vector::KeyEncoder::Make(key_types);
   return Status::OK();
 }
 
@@ -1067,62 +1043,33 @@ Status AggregateSink::Consume(SinkState* state, const Batch& in,
                               uint64_t morsel, ExecutionContext* ctx) const {
   (void)ctx;
   auto* partial = static_cast<AggregatePartial*>(state);
-  if (encoder_ != nullptr) {
-    // Typed path: encoded keys + span-read aggregate inputs; a Value is
-    // only boxed when a running MIN/MAX improves.
-    std::vector<const Column*> key_cols;
-    key_cols.reserve(group_cols_.size());
-    for (size_t c : group_cols_) key_cols.push_back(&in.column(c));
-    std::vector<vector::AggColumnView> views(op_.aggregates.size());
-    for (size_t a = 0; a < op_.aggregates.size(); ++a) {
-      if (agg_cols_[a] >= 0) {
-        views[a] = vector::AggColumnView(
-            &in.column(static_cast<size_t>(agg_cols_[a])));
-      }
+  // Encoded keys + span-read aggregate inputs; a Value is only boxed when
+  // a running MIN/MAX improves.
+  std::vector<const Column*> key_cols;
+  key_cols.reserve(group_cols_.size());
+  for (size_t c : group_cols_) key_cols.push_back(&in.column(c));
+  std::vector<vector::AggColumnView> views(op_.aggregates.size());
+  for (size_t a = 0; a < op_.aggregates.size(); ++a) {
+    if (agg_cols_[a] >= 0) {
+      views[a] = vector::AggColumnView(
+          &in.column(static_cast<size_t>(agg_cols_[a])));
     }
-    vector::EncodedGroupKey key;
-    for (uint64_t r = 0; r < in.num_rows(); ++r) {
-      encoder_->Encode(key_cols.data(), r, &key);
-      auto it = partial->egroups.find(key);
-      if (it == partial->egroups.end()) {
-        PartialGroup group;
-        group.states.resize(op_.aggregates.size());
-        group.first_morsel = morsel;
-        group.first_row = r;
-        it = partial->egroups.emplace(key, std::move(group)).first;
-      }
-      for (size_t a = 0; a < op_.aggregates.size(); ++a) {
-        AggState& st = it->second.states[a];
-        st.count += 1;
-        if (agg_cols_[a] >= 0) views[a].Update(r, &st);
-      }
-    }
-    return Status::OK();
   }
+  vector::EncodedGroupKey key;
   for (uint64_t r = 0; r < in.num_rows(); ++r) {
-    GroupKey key;
-    key.values.reserve(group_cols_.size());
-    for (size_t c : group_cols_) key.values.push_back(in.column(c).GetValue(r));
+    encoder_->Encode(key_cols.data(), r, &key);
     auto it = partial->groups.find(key);
     if (it == partial->groups.end()) {
       PartialGroup group;
       group.states.resize(op_.aggregates.size());
       group.first_morsel = morsel;
       group.first_row = r;
-      it = partial->groups.emplace(std::move(key), std::move(group)).first;
+      it = partial->groups.emplace(key, std::move(group)).first;
     }
     for (size_t a = 0; a < op_.aggregates.size(); ++a) {
       AggState& st = it->second.states[a];
       st.count += 1;
-      if (agg_cols_[a] >= 0) {
-        Value v = in.column(static_cast<size_t>(agg_cols_[a])).GetValue(r);
-        if (!v.is_null()) {
-          if (st.min.is_null() || v < st.min) st.min = v;
-          if (st.max.is_null() || st.max < v) st.max = v;
-          if (v.type() == LogicalType::kInt64) st.isum += v.int_value();
-          if (v.type() == LogicalType::kDouble) st.sum += v.double_value();
-        }
-      }
+      if (agg_cols_[a] >= 0) views[a].Update(r, &st);
     }
   }
   return Status::OK();
@@ -1134,51 +1081,34 @@ Result<TablePtr> AggregateSink::Finish(
   (void)scheduler;
   // Merge thread-local partials; a group's position is its globally
   // earliest first-seen (morsel, row), so the output order matches the
-  // sequential scan regardless of which worker saw which morsel. The
-  // boxed and typed (encoder_) paths share the merge/order logic — a run
-  // only ever populates one of the two partial maps.
-  auto merge_one = [](PartialGroup* dst, PartialGroup* src) {
-    for (size_t a = 0; a < dst->states.size(); ++a) {
-      dst->states[a].MergeFrom(src->states[a]);
-    }
-    if (std::make_pair(src->first_morsel, src->first_row) <
-        std::make_pair(dst->first_morsel, dst->first_row)) {
-      dst->first_morsel = src->first_morsel;
-      dst->first_row = src->first_row;
-    }
-  };
-  auto merge_map = [&](auto* dst_map, auto* src_map) {
-    for (auto& [key, src] : *src_map) {
-      auto it = dst_map->find(key);
-      if (it == dst_map->end()) {
-        dst_map->emplace(key, std::move(src));
-      } else {
-        merge_one(&it->second, &src);
-      }
-    }
-  };
-  auto sorted_entries = [](const auto& map) {
-    std::vector<const typename std::decay_t<decltype(map)>::value_type*>
-        order;
-    order.reserve(map.size());
-    for (const auto& entry : map) order.push_back(&entry);
-    std::sort(order.begin(), order.end(), [](const auto* a, const auto* b) {
-      return std::make_pair(a->second.first_morsel, a->second.first_row) <
-             std::make_pair(b->second.first_morsel, b->second.first_row);
-    });
-    return order;
-  };
-  std::unordered_map<GroupKey, PartialGroup, GroupKeyHash> groups;
-  std::unordered_map<vector::EncodedGroupKey, PartialGroup,
-                     vector::EncodedGroupKeyHash>
-      egroups;
+  // sequential scan regardless of which worker saw which morsel.
+  GroupMap groups;
   for (const auto& state : states) {
     auto* partial = static_cast<AggregatePartial*>(state.get());
-    merge_map(&groups, &partial->groups);
-    merge_map(&egroups, &partial->egroups);
+    for (auto& [key, src] : partial->groups) {
+      auto it = groups.find(key);
+      if (it == groups.end()) {
+        groups.emplace(key, std::move(src));
+        continue;
+      }
+      PartialGroup* dst = &it->second;
+      for (size_t a = 0; a < dst->states.size(); ++a) {
+        dst->states[a].MergeFrom(src.states[a]);
+      }
+      if (std::make_pair(src.first_morsel, src.first_row) <
+          std::make_pair(dst->first_morsel, dst->first_row)) {
+        dst->first_morsel = src.first_morsel;
+        dst->first_row = src.first_row;
+      }
+    }
   }
-  auto order = sorted_entries(groups);
-  auto eorder = sorted_entries(egroups);
+  std::vector<const GroupMap::value_type*> order;
+  order.reserve(groups.size());
+  for (const auto& entry : groups) order.push_back(&entry);
+  std::sort(order.begin(), order.end(), [](const auto* a, const auto* b) {
+    return std::make_pair(a->second.first_morsel, a->second.first_row) <
+           std::make_pair(b->second.first_morsel, b->second.first_row);
+  });
 
   Schema schema;
   for (size_t g = 0; g < op_.group_by.size(); ++g) {
@@ -1197,7 +1127,7 @@ Result<TablePtr> AggregateSink::Finish(
   auto out = std::make_shared<Table>("aggregate", schema);
   // SQL semantics: a global aggregate (no GROUP BY) over empty input still
   // yields one row (COUNT = 0, MIN/MAX/SUM = NULL).
-  if (op_.group_by.empty() && order.empty() && eorder.empty()) {
+  if (op_.group_by.empty() && order.empty()) {
     std::vector<Value> row;
     for (const auto& a : op_.aggregates) {
       row.push_back(a.func == plan::AggFunc::kCount ? Value::Int(0)
@@ -1231,16 +1161,10 @@ Result<TablePtr> AggregateSink::Finish(
     }
     return out->AppendRow(row);
   };
-  if (encoder_ != nullptr) {
-    std::vector<Value> key_vals;
-    for (const auto* entry : eorder) {
-      encoder_->Decode(entry->first, &key_vals);
-      RELGO_RETURN_NOT_OK(emit(key_vals, entry->second.states));
-    }
-  } else {
-    for (const auto* entry : order) {
-      RELGO_RETURN_NOT_OK(emit(entry->first.values, entry->second.states));
-    }
+  std::vector<Value> key_vals;
+  for (const auto* entry : order) {
+    encoder_->Decode(entry->first, &key_vals);
+    RELGO_RETURN_NOT_OK(emit(key_vals, entry->second.states));
   }
   RELGO_RETURN_NOT_OK(ctx->ChargeRows(out->num_rows()));
   return TablePtr(out);
@@ -1280,8 +1204,6 @@ Status TopKSink::Prepare(const Schema& input, ExecutionContext* ctx) {
   // profiled runs keep it off so per-node actual counts stay
   // engine-invariant (profile_test's parity grids).
   early_exit_ = order_ == nullptr && limit_ >= 0 && ctx->profile() == nullptr;
-  typed_cmp_ = ctx->options().vectorized_kernels;
-  dict_cmp_ = ctx->options().dictionary_encoding;
   frontier_next_ = 0;
   pending_.clear();
   prefix_rows_.store(0, std::memory_order_relaxed);
@@ -1335,16 +1257,12 @@ Status TopKSink::Consume(SinkState* state, const Batch& in, uint64_t morsel,
     if (c != 0) return c < 0;
     return std::make_pair(a.morsel, a.row) < std::make_pair(b.morsel, b.row);
   };
-  // The fence test reads the incoming batch through typed spans when
-  // enabled; retained heap rows stay boxed either way (sign-identical to
-  // the boxed comparison, see vector::TypedColumnValueCompare).
+  // The fence test reads the incoming batch through typed spans while
+  // retained heap rows stay boxed (sign-identical to the boxed
+  // comparison, see vector::TypedColumnValueCompare). A per-row
+  // dictionary Find would cost as much as the one compare it saves, so
+  // the fence compares payloads.
   auto fence_cmp = [&](uint64_t r, const HeapRow& worst) {
-    if (!typed_cmp_) {
-      return CompareSortKeyValues(
-          order_->keys,
-          [&](size_t i) { return in.column(key_cols_[i]).GetValue(r); },
-          [&](size_t i) { return worst.vals[key_cols_[i]]; });
-    }
     for (size_t i = 0; i < order_->keys.size(); ++i) {
       int c = vector::TypedColumnValueCompare(in.column(key_cols_[i]), r,
                                               worst.vals[key_cols_[i]]);
@@ -1430,31 +1348,15 @@ Result<TablePtr> TopKSink::Finish(
     }
     uint64_t n = refs.size();
     // Position in `refs` IS the global sequence number, so index order is
-    // the stable-sort tie-break. With typed_cmp_ the O(n log n)
-    // comparisons read payload spans instead of boxing two Values each.
+    // the stable-sort tie-break. The O(n log n) comparisons read payload
+    // spans (or sorted-dictionary codes) instead of boxing two Values each.
     auto before = [&](uint64_t i, uint64_t j) {
-      int c = 0;
-      if (typed_cmp_) {
-        for (size_t k = 0; k < order_->keys.size(); ++k) {
-          c = vector::TypedColumnCompare(
-              refs[i].batch->column(key_cols_[k]), refs[i].row,
-              refs[j].batch->column(key_cols_[k]), refs[j].row, dict_cmp_);
-          if (c != 0) {
-            c = order_->keys[k].ascending ? c : -c;
-            break;
-          }
-        }
-      } else {
-        c = CompareSortKeyValues(
-            order_->keys,
-            [&](size_t k) {
-              return refs[i].batch->column(key_cols_[k]).GetValue(refs[i].row);
-            },
-            [&](size_t k) {
-              return refs[j].batch->column(key_cols_[k]).GetValue(refs[j].row);
-            });
+      for (size_t k = 0; k < order_->keys.size(); ++k) {
+        int c = vector::TypedColumnCompare(
+            refs[i].batch->column(key_cols_[k]), refs[i].row,
+            refs[j].batch->column(key_cols_[k]), refs[j].row);
+        if (c != 0) return order_->keys[k].ascending ? c < 0 : c > 0;
       }
-      if (c != 0) return c < 0;
       return i < j;
     };
     std::vector<uint64_t> order(n);
@@ -1522,8 +1424,8 @@ Result<TablePtr> TopKSink::Finish(
   }
   double finish_ms = timer.ElapsedMillis();
 
-  // Budget parity with the materializing post-ops: SortTableByKeys charges
-  // the full row count, LimitTableRows charges k only when it truncates.
+  // Budget parity with the materializing post-ops: ORDER BY charges the
+  // full row count, LIMIT charges k only when it truncates.
   if (order_ != nullptr) RELGO_RETURN_NOT_OK(ctx->ChargeRows(total));
   if (limit_ >= 0 && static_cast<uint64_t>(limit_) < total) {
     RELGO_RETURN_NOT_OK(ctx->ChargeRows(static_cast<uint64_t>(limit_)));

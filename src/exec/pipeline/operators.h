@@ -68,8 +68,8 @@ class FilterOp : public StreamingOp {
   /// executions each bind their own copy).
   storage::ExprPtr predicate_;
   /// Vectorized lowering of predicate_ (null when the tree is outside
-  /// the lowerable subset or ExecutionOptions::vectorized_kernels is
-  /// off); Process falls back to row-at-a-time EvaluateBool.
+  /// the lowerable subset); Process then falls back to row-at-a-time
+  /// EvaluateBool.
   std::unique_ptr<vector::CompiledPredicate> compiled_;
 };
 
@@ -471,16 +471,6 @@ class TopKSink : public Sink {
   storage::Schema schema_;
   std::vector<size_t> key_cols_;
   bool early_exit_ = false;  // plain LIMIT, profiling off
-  /// Compare sort keys through typed column spans (vector::
-  /// TypedColumnCompare) instead of boxing a Value per comparison; same
-  /// ordering, set from ExecutionOptions::vectorized_kernels in Prepare.
-  bool typed_cmp_ = false;
-  /// Let TypedColumnCompare order string keys by int32 dictionary codes
-  /// when both rows share a sorted dictionary (sign-identical to the byte
-  /// comparison); set from ExecutionOptions::dictionary_encoding. The
-  /// heap fence keeps boxed Values (TypedColumnValueCompare) — a per-row
-  /// dictionary Find would cost as much as the one compare it saves.
-  bool dict_cmp_ = false;
 
   // Completed-morsel frontier (early-exit mode only): morsels [0,
   // frontier_next_) have all finished and contributed frontier-counted
@@ -515,9 +505,10 @@ class AggregateSink : public Sink {
   storage::Schema input_schema_;
   std::vector<size_t> group_cols_;
   std::vector<int> agg_cols_;
-  /// Typed group-key codec (null on fallback): workers key their partial
-  /// maps on byte-encoded keys read from payload spans instead of boxed
-  /// Value vectors. Const + stateless, so shared across workers.
+  /// Typed group-key codec: workers key their partial maps on
+  /// byte-encoded keys read from payload spans instead of boxed Value
+  /// vectors. Const (its dictionary pinning is call_once), so shared
+  /// across workers.
   std::unique_ptr<vector::KeyEncoder> encoder_;
 };
 

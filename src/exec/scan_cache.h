@@ -23,9 +23,10 @@ namespace exec {
 /// by the feedback layer's scan signature namespace ("scan|<table>|<pred>",
 /// see optimizer::ScanFeedbackKey — the same string identity that already
 /// ties estimates to scans ties cached filter results to scans), so any
-/// query of any engine re-running a known filtered scan skips straight to
-/// the gather. Unfiltered scans are never cached: they have no per-row
-/// work to amortize. Expansion-style operators cache their per-base-row
+/// pipeline-engine query re-running a known filtered scan skips straight
+/// to the gather; the materializing reference engine never consults it.
+/// Unfiltered scans are never cached: they have no per-row work to
+/// amortize. Expansion-style operators cache their per-base-row
 /// validity bitmaps the same way under the "bitmap|..." key namespace.
 ///
 /// Correctness: a hit returns exactly the row ids (or bitmap bytes) the

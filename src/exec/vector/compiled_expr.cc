@@ -464,10 +464,10 @@ int CompiledPredicate::Lower(const Expr& expr, const Schema& schema,
     return idx;
   };
   auto col_type = [&](int idx) { return schema.column(idx).type; };
-  // Dictionary of a string column, when the table-aware Compile was used
-  // and the flag is on; nullptr otherwise (payload lowering only).
+  // Dictionary of a string column when compiled against a table;
+  // nullptr otherwise (payload lowering only).
   auto col_dict = [&](int idx) -> const storage::StringDictionary* {
-    if (!use_dict_ || table_ == nullptr) return nullptr;
+    if (table_ == nullptr) return nullptr;
     if (idx >= static_cast<int>(table_->num_columns())) return nullptr;
     const Column& c = table_->column(idx);
     if (c.type() != LogicalType::kString) return nullptr;
@@ -791,17 +791,9 @@ int CompiledPredicate::Lower(const Expr& expr, const Schema& schema,
 }
 
 std::unique_ptr<CompiledPredicate> CompiledPredicate::Compile(
-    const Expr& expr, const Schema& schema) {
-  return Compile(expr, schema, /*table=*/nullptr,
-                 /*use_dictionaries=*/false);
-}
-
-std::unique_ptr<CompiledPredicate> CompiledPredicate::Compile(
-    const Expr& expr, const Schema& schema, const storage::Table* table,
-    bool use_dictionaries) {
+    const Expr& expr, const Schema& schema, const storage::Table* table) {
   std::unique_ptr<CompiledPredicate> p(new CompiledPredicate());
   p->table_ = table;
-  p->use_dict_ = use_dictionaries;
   p->root_ = p->Lower(expr, schema, /*negated=*/false);
   if (p->root_ < 0) return nullptr;
   return p;

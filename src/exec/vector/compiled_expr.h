@@ -49,8 +49,8 @@ struct CompiledKernel {
   std::vector<std::string> str_list;  // sorted, deduplicated
 
   /// Dictionary lowering of the string ops (set when compiled against a
-  /// table whose column carries a storage::StringDictionary and
-  /// ExecutionOptions::dictionary_encoding is on). The payload fields
+  /// table whose column carries a storage::StringDictionary). The
+  /// payload fields
   /// above stay fully populated: the kernel runner re-checks `dict`
   /// against each batch column and falls back to the payload compare
   /// when a derived column dropped the dictionary.
@@ -85,19 +85,17 @@ class CompiledPredicate {
   /// Lowers `expr` against `schema`. `expr` must already be bound to
   /// `schema` (bound_index resolved). Returns nullptr when any part of
   /// the tree is outside the lowerable subset.
-  static std::unique_ptr<CompiledPredicate> Compile(
-      const storage::Expr& expr, const storage::Schema& schema);
-
-  /// As above, additionally lowering string predicates onto int32
-  /// dictionary codes where `table`'s columns carry dictionaries and
-  /// `use_dictionaries` (ExecutionOptions::dictionary_encoding) is set.
-  /// `table` must be the table the predicate filters — or the ancestor
-  /// every filtered batch derives from: the constant-not-in-dictionary
-  /// folds assume filtered rows draw their strings from the
-  /// compile-time column's value set.
+  ///
+  /// With a `table`, string predicates additionally lower onto int32
+  /// dictionary codes where its columns carry dictionaries. `table` must
+  /// be the table the predicate filters — or the ancestor every filtered
+  /// batch derives from: the constant-not-in-dictionary folds assume
+  /// filtered rows draw their strings from the compile-time column's
+  /// value set. Without one (a mid-pipeline filter), only the payload
+  /// kernels are used.
   static std::unique_ptr<CompiledPredicate> Compile(
       const storage::Expr& expr, const storage::Schema& schema,
-      const storage::Table* table, bool use_dictionaries);
+      const storage::Table* table = nullptr);
 
   /// Appends the passing rows of [begin, end) to `*out_sel` (ascending).
   /// `columns[i]` must match the compile-time schema layout.
@@ -145,7 +143,6 @@ class CompiledPredicate {
   int root_ = -1;
   /// Compile-time dictionary context (see the table-aware Compile).
   const storage::Table* table_ = nullptr;
-  bool use_dict_ = false;
 };
 
 }  // namespace vector

@@ -1,6 +1,8 @@
 #include "exec/vector/typed_keys.h"
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 
 namespace relgo {
 namespace exec {
@@ -51,11 +53,18 @@ int32_t ReadFixed32(const char* p) {
   return v;
 }
 
+/// One representative per Value-equal double: -0.0 folds into +0.0 and
+/// every NaN payload into the quiet NaN.
+double CanonicalDouble(double v) {
+  if (v == 0.0) return 0.0;
+  if (std::isnan(v)) return std::numeric_limits<double>::quiet_NaN();
+  return v;
+}
+
 }  // namespace
 
-KeyEncoder::KeyEncoder(std::vector<LogicalType> types, bool use_dictionaries)
-    : types_(std::move(types)), use_dict_(use_dictionaries) {
-  if (!use_dict_) return;
+KeyEncoder::KeyEncoder(std::vector<LogicalType> types)
+    : types_(std::move(types)) {
   pinned_.assign(types_.size(), nullptr);
   pin_once_.resize(types_.size());
   for (size_t i = 0; i < types_.size(); ++i) {
@@ -66,25 +75,8 @@ KeyEncoder::KeyEncoder(std::vector<LogicalType> types, bool use_dictionaries)
 }
 
 std::unique_ptr<KeyEncoder> KeyEncoder::Make(
-    const std::vector<LogicalType>& types, bool use_dictionaries) {
-  for (LogicalType t : types) {
-    switch (t) {
-      case LogicalType::kBool:
-      case LogicalType::kInt64:
-      case LogicalType::kDate:
-      case LogicalType::kString:
-      case LogicalType::kNull:  // every row encodes as the NULL tag
-        break;
-      case LogicalType::kDouble:
-        // NaN is Compare-equal to every numeric and +0.0 == -0.0;
-        // neither survives byte encoding. Boxed fallback.
-        return nullptr;
-      default:
-        return nullptr;
-    }
-  }
-  return std::unique_ptr<KeyEncoder>(
-      new KeyEncoder(types, use_dictionaries));
+    const std::vector<LogicalType>& types) {
+  return std::unique_ptr<KeyEncoder>(new KeyEncoder(types));
 }
 
 void KeyEncoder::Encode(const storage::Column* const* cols, uint64_t row,
@@ -120,24 +112,29 @@ void KeyEncoder::Encode(const storage::Column* const* cols, uint64_t row,
         h = HashCombine(h, TypedHash(v));
         break;
       }
+      case LogicalType::kDouble: {
+        double v = CanonicalDouble(col.double_at(row));
+        int64_t bits;
+        std::memcpy(&bits, &v, sizeof(bits));
+        AppendFixed64(&key->bytes, bits);
+        h = HashCombine(h, TypedHash(v));
+        break;
+      }
       case LogicalType::kString: {
         const std::string& s = col.string_at(row);
-        if (use_dict_) {
-          std::call_once(*pin_once_[i],
-                         [&] { pinned_[i] = col.dictionary(); });
-          const storage::StringDictionary* dict = pinned_[i];
-          if (dict != nullptr) {
-            // Same dictionary: read the row's code straight off the
-            // column; foreign/no dictionary: translate through the
-            // pinned one (absent strings keep the byte encoding below).
-            int32_t code = col.dictionary() == dict ? col.code_at(row)
-                                                    : dict->Find(s);
-            if (code >= 0) {
-              key->bytes.back() = kTagCode;
-              AppendFixed32(&key->bytes, code);
-              h = HashCombine(h, TypedHash(static_cast<int64_t>(code)));
-              break;
-            }
+        std::call_once(*pin_once_[i], [&] { pinned_[i] = col.dictionary(); });
+        const storage::StringDictionary* dict = pinned_[i];
+        if (dict != nullptr) {
+          // Same dictionary: read the row's code straight off the
+          // column; foreign/no dictionary: translate through the pinned
+          // one (absent strings keep the byte encoding below).
+          int32_t code = col.dictionary() == dict ? col.code_at(row)
+                                                  : dict->Find(s);
+          if (code >= 0) {
+            key->bytes.back() = kTagCode;
+            AppendFixed32(&key->bytes, code);
+            h = HashCombine(h, TypedHash(static_cast<int64_t>(code)));
+            break;
           }
         }
         AppendLength(&key->bytes, static_cast<uint32_t>(s.size()));
@@ -146,7 +143,7 @@ void KeyEncoder::Encode(const storage::Column* const* cols, uint64_t row,
         break;
       }
       default:
-        break;  // unreachable: Make() rejected these types
+        break;  // kNull took the NULL tag above
     }
   }
   key->hash = h;
@@ -184,6 +181,14 @@ void KeyEncoder::Decode(const EncodedGroupKey& key,
         out->push_back(Value::Date(static_cast<int32_t>(ReadFixed64(p))));
         p += 8;
         break;
+      case LogicalType::kDouble: {
+        int64_t bits = ReadFixed64(p);
+        double v;
+        std::memcpy(&v, &bits, sizeof(v));
+        out->push_back(Value::Double(v));
+        p += 8;
+        break;
+      }
       case LogicalType::kString: {
         uint32_t n = ReadLength(p);
         p += 4;

@@ -20,12 +20,13 @@ namespace vector {
 // ---------------------------------------------------------------------------
 
 /// A group-by key encoded as a byte string read straight from column
-/// payload spans: per key column one tag byte (0 = NULL, 1 = value)
-/// followed by a fixed- or length-prefixed payload. Byte equality
-/// coincides with the boxed GroupKey's Value-vector equality, so the
-/// aggregate hash maps can key on these without constructing a Value per
-/// row. The hash is chained from the typed common/hash.h overloads during
-/// encoding — no second pass over the bytes.
+/// payload spans: per key column one tag byte (0 = NULL, 1 = value,
+/// 2 = dictionary code) followed by a fixed- or length-prefixed payload.
+/// Byte equality coincides with Value-vector equality (up to the
+/// canonical double encoding, see KeyEncoder), so the aggregate hash maps
+/// key on these without constructing a Value per row. The hash is chained
+/// from the typed common/hash.h overloads during encoding — no second
+/// pass over the bytes.
 struct EncodedGroupKey {
   std::string bytes;
   size_t hash = kHashSeed;
@@ -41,33 +42,29 @@ struct EncodedGroupKeyHash {
 
 /// Encodes / decodes group keys for a fixed sequence of key column types.
 ///
-/// Make() refuses (returns nullptr) when any key column is kDouble:
-/// Value equality routes through Value::Compare, under which NaN compares
-/// equal to every numeric and +0.0 == -0.0 — neither is representable as
-/// byte equality. Callers must then keep the boxed GroupKey path. The
+/// kDouble keys encode canonically: -0.0 encodes as +0.0 (they are
+/// Value-equal) and every NaN encodes as one quiet-NaN bit pattern, so
+/// all NaNs form one group and Decode yields the canonical value. The
 /// remaining types are exact, with one deliberate exception: two int64
 /// keys beyond 2^53 that alias under double promotion are distinct here
-/// but "equal" to Value::Compare — the boxed map's hash (exact
+/// but "equal" to Value::Compare — a boxed map's hash (exact
 /// std::hash<int64_t>) already disagrees with its equality for such keys,
 /// so that regime has no well-defined grouping to preserve.
+///
+/// A string key column encodes through its dictionary where possible:
+/// the first row encoded pins the column's dictionary (call_once, so
+/// concurrent pipeline workers agree), and every string present in the
+/// pinned dictionary encodes as a fixed 4-byte code under its own tag —
+/// constant-size bytes and an int32 hash instead of length-prefixed
+/// payload bytes. Strings outside the pinned dictionary (foreign batch,
+/// dropped encoding) keep the byte encoding; the two tag spaces are
+/// disjoint, so byte equality still coincides with string equality and
+/// Decode reconstructs the exact GetValue boxing either way.
 class KeyEncoder {
  public:
-  /// `types[i]` is the logical type of the i-th key column. Returns
-  /// nullptr when some type cannot preserve Value equality byte-for-byte.
-  ///
-  /// With `use_dictionaries` (ExecutionOptions::dictionary_encoding) a
-  /// string key column encodes through its dictionary where possible:
-  /// the first row encoded pins the column's dictionary (call_once, so
-  /// concurrent pipeline workers agree), and every string present in
-  /// the pinned dictionary encodes as a fixed 4-byte code under its own
-  /// tag — constant-size bytes and an int32 hash instead of
-  /// length-prefixed payload bytes. Strings outside the pinned
-  /// dictionary (foreign batch, dropped encoding) keep the byte
-  /// encoding; the two tag spaces are disjoint, so byte equality still
-  /// coincides with string equality and Decode reconstructs the exact
-  /// GetValue boxing either way.
+  /// `types[i]` is the logical type of the i-th key column.
   static std::unique_ptr<KeyEncoder> Make(
-      const std::vector<LogicalType>& types, bool use_dictionaries = false);
+      const std::vector<LogicalType>& types);
 
   size_t num_cols() const { return types_.size(); }
 
@@ -82,10 +79,9 @@ class KeyEncoder {
   void Decode(const EncodedGroupKey& key, std::vector<Value>* out) const;
 
  private:
-  KeyEncoder(std::vector<LogicalType> types, bool use_dictionaries);
+  explicit KeyEncoder(std::vector<LogicalType> types);
 
   std::vector<LogicalType> types_;
-  bool use_dict_ = false;
   /// Per key column: the dictionary pinned by the first Encode of that
   /// column (nullptr until pinned, or when the column has none).
   /// Encoding is a pure function of (pinned dictionary, string), so
@@ -220,18 +216,15 @@ class AggColumnView {
 /// `a.GetValue(ar).Compare(b.GetValue(br))` without boxing either side:
 /// NULLs order first, numerics promote through double (so NaN is "equal"
 /// to every double and never establishes an order), strings compare
-/// lexicographically.
-/// `use_dictionaries` (ExecutionOptions::dictionary_encoding) enables
-/// the string fast path: when both slots share the same *sorted*
-/// dictionary, code order coincides with lexicographic order, so one
-/// int32 compare replaces the byte compare — sign-identical by
+/// lexicographically. String fast path: when both slots share the same
+/// *sorted* dictionary, code order coincides with lexicographic order, so
+/// one int32 compare replaces the byte compare — sign-identical by
 /// construction. Any other dictionary state falls back to the payload.
 inline int TypedColumnCompare(const storage::Column& a, uint64_t ar,
-                              const storage::Column& b, uint64_t br,
-                              bool use_dictionaries = false) {
+                              const storage::Column& b, uint64_t br) {
   bool an = !a.is_valid(ar), bn = !b.is_valid(br);
   if (an || bn) return an == bn ? 0 : (an ? -1 : 1);
-  if (use_dictionaries && a.type() == LogicalType::kString) {
+  if (a.type() == LogicalType::kString) {
     const storage::StringDictionary* d = a.dictionary();
     if (d != nullptr && d == b.dictionary() && d->sorted) {
       int32_t ac = a.code_at(ar), bc = b.code_at(br);

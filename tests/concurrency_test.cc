@@ -1,7 +1,8 @@
 // Concurrent serving and the cross-query scan cache: ScanCache unit
 // behavior (LRU eviction, byte budget, version invalidation), cache
 // on/off parity — results and per-node actual rows identical across all
-// ten optimizer modes and both engines —, invalidation on base-table
+// ten optimizer modes on the pipeline engine, the only one that reads
+// the cache —, invalidation on base-table
 // mutation, and concurrent Run / RunProfiled (adaptive statistics on)
 // against one shared Database, which is what the process-wide worker
 // pool and the stats_mu_ serialization exist for. The TSan CI job runs
@@ -38,11 +39,6 @@ exec::ExecutionOptions Options(exec::EngineKind engine, int threads,
   options.engine = engine;
   options.num_threads = threads;
   options.scan_cache = scan_cache;
-  // Explicit (not relying on the default): the TSan storm must keep
-  // exercising the vectorized kernel paths — workers sharing one
-  // CompiledPredicate / KeyEncoder per operator — even if the session
-  // default ever flips off.
-  options.vectorized_kernels = true;
   return options;
 }
 
@@ -175,55 +171,53 @@ class ConcurrencyTest : public ::testing::Test {
   Database db_;
 };
 
-TEST_F(ConcurrencyTest, CacheOnOffParityAllModesBothEngines) {
+TEST_F(ConcurrencyTest, CacheOnOffParityAllModes) {
+  // The materializing reference never touches the cache, so only the
+  // pipeline engine has a cache-on leg to check.
+  const exec::EngineKind engine = exec::EngineKind::kPipeline;
   for (plan::SpjmQuery query : {FilteredQuery(), VertexPredQuery()}) {
     for (OptimizerMode mode : kAllModes) {
-      for (exec::EngineKind engine :
-           {exec::EngineKind::kMaterialize, exec::EngineKind::kPipeline}) {
-        SCOPED_TRACE(std::string(query.name) + " / " +
-                     optimizer::ModeName(mode) + " / " +
-                     (engine == exec::EngineKind::kPipeline ? "pipeline"
-                                                            : "materialize"));
-        db_.ClearScanCache();
-        auto off = db_.RunProfiled(query, mode,
-                                   Options(engine, 2, /*scan_cache=*/false));
-        ASSERT_TRUE(off.ok()) << off.status().ToString();
-        auto cold = db_.RunProfiled(query, mode,
-                                    Options(engine, 2, /*scan_cache=*/true));
-        ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-        auto warm = db_.RunProfiled(query, mode,
-                                    Options(engine, 2, /*scan_cache=*/true));
-        ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-        EXPECT_EQ(off->profile.scan_cache_hits(), 0u);
+      SCOPED_TRACE(std::string(query.name) + " / " +
+                   optimizer::ModeName(mode));
+      db_.ClearScanCache();
+      auto off = db_.RunProfiled(query, mode,
+                                 Options(engine, 2, /*scan_cache=*/false));
+      ASSERT_TRUE(off.ok()) << off.status().ToString();
+      auto cold = db_.RunProfiled(query, mode,
+                                  Options(engine, 2, /*scan_cache=*/true));
+      ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+      auto warm = db_.RunProfiled(query, mode,
+                                  Options(engine, 2, /*scan_cache=*/true));
+      ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+      EXPECT_EQ(off->profile.scan_cache_hits(), 0u);
 
-        // Byte-identical results: same rows in the same order.
-        for (const auto* run : {&cold, &warm}) {
-          const storage::Table& expect = *off->table;
-          const storage::Table& got = *(*run)->table;
-          ASSERT_EQ(got.num_rows(), expect.num_rows());
-          ASSERT_EQ(got.num_columns(), expect.num_columns());
-          for (uint64_t r = 0; r < expect.num_rows(); ++r) {
-            for (size_t c = 0; c < expect.num_columns(); ++c) {
-              EXPECT_EQ(got.GetValue(r, c).ToString(),
-                        expect.GetValue(r, c).ToString())
-                  << "row " << r << " col " << c;
-            }
+      // Byte-identical results: same rows in the same order.
+      for (const auto* run : {&cold, &warm}) {
+        const storage::Table& expect = *off->table;
+        const storage::Table& got = *(*run)->table;
+        ASSERT_EQ(got.num_rows(), expect.num_rows());
+        ASSERT_EQ(got.num_columns(), expect.num_columns());
+        for (uint64_t r = 0; r < expect.num_rows(); ++r) {
+          for (size_t c = 0; c < expect.num_columns(); ++c) {
+            EXPECT_EQ(got.GetValue(r, c).ToString(),
+                      expect.GetValue(r, c).ToString())
+                << "row " << r << " col " << c;
           }
         }
-        // Per-node actual cardinalities are cache-invariant.
-        ExpectSameActualRows(*off->plan, off->profile, *cold->plan,
-                             cold->profile);
-        ExpectSameActualRows(*off->plan, off->profile, *warm->plan,
-                             warm->profile);
-        // If the cold run published filtered-scan selections, the warm
-        // run must have replayed at least one.
-        if (db_.scan_cache().entries() > 0) {
-          EXPECT_GT(warm->profile.scan_cache_hits(), 0u);
-        }
+      }
+      // Per-node actual cardinalities are cache-invariant.
+      ExpectSameActualRows(*off->plan, off->profile, *cold->plan,
+                           cold->profile);
+      ExpectSameActualRows(*off->plan, off->profile, *warm->plan,
+                           warm->profile);
+      // If the cold run published filtered-scan selections, the warm
+      // run must have replayed at least one.
+      if (db_.scan_cache().entries() > 0) {
+        EXPECT_GT(warm->profile.scan_cache_hits(), 0u);
       }
     }
   }
-  // The grid definitely exercised the cache on some (mode, engine) cells.
+  // The grid definitely exercised the cache on some modes.
   EXPECT_GT(db_.scan_cache().stats().insertions, 0u);
   EXPECT_GT(db_.scan_cache().stats().hits, 0u);
 }
@@ -262,13 +256,11 @@ TEST_F(ConcurrencyTest, ExplainAnalyzeRendersCacheHits) {
   plan::SpjmQuery query = FilteredQuery();
   // Warm the cache, then EXPLAIN ANALYZE replays the filtered scans.
   ASSERT_TRUE(db_.Run(query, OptimizerMode::kDuckDB).ok());
-  for (exec::EngineKind engine :
-       {exec::EngineKind::kMaterialize, exec::EngineKind::kPipeline}) {
-    auto analyzed = db_.ExplainAnalyze(query, OptimizerMode::kDuckDB,
-                                       Options(engine, 2, true));
-    ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
-    EXPECT_NE(analyzed->find("scan cache:"), std::string::npos) << *analyzed;
-  }
+  auto analyzed = db_.ExplainAnalyze(
+      query, OptimizerMode::kDuckDB,
+      Options(exec::EngineKind::kPipeline, 2, true));
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  EXPECT_NE(analyzed->find("scan cache:"), std::string::npos) << *analyzed;
 }
 
 TEST_F(ConcurrencyTest, ConcurrentClientsMatchSerialResults) {
@@ -277,7 +269,8 @@ TEST_F(ConcurrencyTest, ConcurrentClientsMatchSerialResults) {
   std::vector<plan::SpjmQuery> mix = {FilteredQuery(), VertexPredQuery()};
   std::vector<std::vector<std::string>> reference;
   for (const auto& q : mix) {
-    auto serial = db_.Run(q, OptimizerMode::kRelGo);
+    auto serial = db_.Run(q, OptimizerMode::kRelGo,
+                          Options(exec::EngineKind::kMaterialize, 1, false));
     ASSERT_TRUE(serial.ok());
     reference.push_back(testing::SortedRows(*serial->table));
   }
@@ -319,7 +312,8 @@ TEST_F(ConcurrencyTest, ConcurrentAdaptiveProfiledRuns) {
   // absence of races; result correctness is checked against the serial
   // answer.
   plan::SpjmQuery query = FilteredQuery();
-  auto serial = db_.Run(query, OptimizerMode::kRelGo);
+  auto serial = db_.Run(query, OptimizerMode::kRelGo,
+                        Options(exec::EngineKind::kMaterialize, 1, false));
   ASSERT_TRUE(serial.ok());
   auto reference = testing::SortedRows(*serial->table);
 

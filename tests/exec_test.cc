@@ -2,6 +2,7 @@
 
 #include "exec/executor.h"
 #include "exec/naive_matcher.h"
+#include "exec/scan_cache.h"
 #include "fixtures.h"
 
 namespace relgo {
@@ -439,6 +440,84 @@ TEST_F(ExecTest, TimeoutTriggers) {
   auto result = Executor::Run(scan, &ctx);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kTimeout);
+}
+
+// The materializing executor is the reference the pipeline engine is
+// checked against, so it must share no state with it: entries in the
+// pipeline engine's scan cache — here deliberately wrong ones, stored
+// under the exact keys and table versions the plans would look up — must
+// neither be read nor be added to.
+TEST_F(ExecTest, ReferenceIgnoresPoisonedScanCache) {
+  auto person = db_.catalog().GetTable("Person");
+  auto message = db_.catalog().GetTable("Message");
+  ASSERT_TRUE(person.ok() && message.ok());
+  auto selection = [](std::vector<uint64_t> rows) {
+    return std::make_shared<const std::vector<uint64_t>>(std::move(rows));
+  };
+  exec::ScanCache cache;
+
+  // Filtered table scan: the true answer is Bob (row 1).
+  plan::PhysScanTable scan;
+  scan.table = "Person";
+  scan.alias = "p";
+  scan.filter = Expr::Eq("name", Value::String("Bob"));
+  cache.Put(exec::ScanCache::Key("scan", "Person", scan.filter),
+            (*person)->version(), selection({0, 2}));
+
+  // Filtered vertex scan: the true answer is Tom (row 0).
+  plan::PhysScanVertex vscan;
+  vscan.vertex_label = Label("Person");
+  vscan.var = "p";
+  vscan.filter = Expr::Eq("name", Value::String("Tom"));
+  cache.Put(exec::ScanCache::Key("vscan", (*person)->name(), vscan.filter),
+            (*person)->version(), selection({1, 2}));
+
+  // Expansion with a target-vertex filter: only message row 0 ("hello
+  // graphs") passes, but the poisoned bitmap passes every message.
+  auto from = std::make_unique<plan::PhysScanVertex>();
+  from->vertex_label = Label("Person");
+  from->var = "p";
+  plan::PhysExpand expand;
+  expand.edge_label = Label("Likes", true);
+  expand.dir = graph::Direction::kOut;
+  expand.from_var = "p";
+  expand.to_var = "m";
+  expand.vertex_filter = Expr::Eq("content", Value::String("hello graphs"));
+  expand.children.push_back(std::move(from));
+  cache.PutBitmap(
+      exec::ScanCache::Key("bitmap", (*message)->name(), expand.vertex_filter),
+      (*message)->version(),
+      std::make_shared<const std::vector<uint8_t>>(
+          std::vector<uint8_t>{1, 1}));
+  ASSERT_EQ(cache.entries(), 3u);
+  const uint64_t lookups_before = cache.stats().Lookups();
+
+  auto ctx = MakeContext();
+  ctx.SetScanCache(&cache);
+
+  auto scanned = Executor::Run(scan, &ctx);
+  ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
+  ASSERT_EQ((*scanned)->num_rows(), 1u);
+  EXPECT_EQ((*scanned)->GetValue(0, 1).string_value(), "Bob");
+
+  auto vscanned = Executor::Run(vscan, &ctx);
+  ASSERT_TRUE(vscanned.ok()) << vscanned.status().ToString();
+  ASSERT_EQ((*vscanned)->num_rows(), 1u);
+  EXPECT_EQ((*vscanned)->GetValue(0, 0).int_value(), 0);
+
+  auto expanded = Executor::Run(expand, &ctx);
+  ASSERT_TRUE(expanded.ok()) << expanded.status().ToString();
+  int m_col = (*expanded)->schema().FindColumn("m");
+  ASSERT_GE(m_col, 0);
+  EXPECT_EQ((*expanded)->num_rows(), 2u);  // Tom and Bob like message 10
+  for (uint64_t r = 0; r < (*expanded)->num_rows(); ++r) {
+    EXPECT_EQ((*expanded)->GetValue(r, static_cast<size_t>(m_col)).int_value(),
+              0);
+  }
+
+  EXPECT_EQ(ctx.scan_cache_hits(), 0u);
+  EXPECT_EQ(ctx.pending_cache_publications(), 0u);
+  EXPECT_EQ(cache.stats().Lookups(), lookups_before);
 }
 
 }  // namespace

@@ -389,7 +389,9 @@ TEST_F(LifecycleTest, TimeoutAndOomCleanAcrossEnginesAndModes) {
 
 // Deferred publication: a query that fails at the cache-publish fault
 // site leaves the cache untouched; the same query then succeeds and
-// publishes normally, with results identical to a cache-off run.
+// publishes normally, with results identical to the reference. Only the
+// pipeline engine publishes (the materializing reference never touches
+// the cache).
 TEST_F(LifecycleTest, FailedQueryNeverPublishesScanCache) {
   plan::SpjmQuery query = FilteredQuery();
   auto reference = db_.Run(query, OptimizerMode::kDuckDB,
@@ -397,29 +399,27 @@ TEST_F(LifecycleTest, FailedQueryNeverPublishesScanCache) {
   ASSERT_TRUE(reference.ok());
   std::vector<std::string> expect = testing::SortedRows(*reference->table);
 
-  for (EngineKind engine : kBothEngines) {
-    SCOPED_TRACE(EngineName(engine));
-    db_.ClearScanCache();
-    {
-      fault::ScopedFault armed(
-          {3, 1.0, 1u << static_cast<int>(fault::Site::kScanCachePublish)});
-      auto result = db_.Run(query, OptimizerMode::kDuckDB, Options(engine));
-      ASSERT_FALSE(result.ok());
-      EXPECT_TRUE(fault::IsInjected(result.status()))
-          << result.status().ToString();
-      EXPECT_EQ(db_.scan_cache().entries(), 0u)
-          << "faulted query must not publish";
-    }
-    auto ok = db_.Run(query, OptimizerMode::kDuckDB, Options(engine));
-    ASSERT_TRUE(ok.ok()) << ok.status().ToString();
-    EXPECT_GT(db_.scan_cache().entries(), 0u)
-        << "successful query publishes the same entries";
-    EXPECT_EQ(testing::SortedRows(*ok->table), expect);
-    auto warm = db_.Run(query, OptimizerMode::kDuckDB, Options(engine));
-    ASSERT_TRUE(warm.ok());
-    EXPECT_EQ(testing::SortedRows(*warm->table), expect)
-        << "replayed cache entries match";
+  const EngineKind engine = EngineKind::kPipeline;
+  db_.ClearScanCache();
+  {
+    fault::ScopedFault armed(
+        {3, 1.0, 1u << static_cast<int>(fault::Site::kScanCachePublish)});
+    auto result = db_.Run(query, OptimizerMode::kDuckDB, Options(engine));
+    ASSERT_FALSE(result.ok());
+    EXPECT_TRUE(fault::IsInjected(result.status()))
+        << result.status().ToString();
+    EXPECT_EQ(db_.scan_cache().entries(), 0u)
+        << "faulted query must not publish";
   }
+  auto ok = db_.Run(query, OptimizerMode::kDuckDB, Options(engine));
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_GT(db_.scan_cache().entries(), 0u)
+      << "successful query publishes the same entries";
+  EXPECT_EQ(testing::SortedRows(*ok->table), expect);
+  auto warm = db_.Run(query, OptimizerMode::kDuckDB, Options(engine));
+  ASSERT_TRUE(warm.ok());
+  EXPECT_EQ(testing::SortedRows(*warm->table), expect)
+      << "replayed cache entries match";
 }
 
 // Every fault site aborts cleanly: the query fails with an injected
@@ -451,9 +451,11 @@ TEST_F(LifecycleTest, FaultSitesAbortCleanlyAndDatabaseStaysUsable) {
           EXPECT_EQ(db_.scan_cache().entries(), 0u);
         }
         // Morsel-boundary faults are on every plan's path in both
-        // engines; cache publication is on every cold filtered scan.
+        // engines; cache publication is on every cold filtered scan of
+        // the pipeline engine (the reference never publishes).
         if (site == static_cast<int>(fault::Site::kMorselBoundary) ||
-            site == static_cast<int>(fault::Site::kScanCachePublish)) {
+            (site == static_cast<int>(fault::Site::kScanCachePublish) &&
+             engine == EngineKind::kPipeline)) {
           EXPECT_FALSE(result.ok());
         }
       }
@@ -522,7 +524,8 @@ TEST_F(LifecycleTest, ChaosStormEveryQueryEndsInExactlyOneTerminalState) {
   std::vector<plan::SpjmQuery> mix = {FilteredQuery(), VertexPredQuery()};
   std::vector<std::vector<std::string>> reference;
   for (const auto& q : mix) {
-    auto serial = db_.Run(q, OptimizerMode::kRelGo);
+    auto serial =
+        db_.Run(q, OptimizerMode::kRelGo, Options(EngineKind::kMaterialize));
     ASSERT_TRUE(serial.ok());
     reference.push_back(testing::SortedRows(*serial->table));
   }

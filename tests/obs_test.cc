@@ -594,7 +594,8 @@ TEST_F(ObsTest, ConcurrentStormWithMetricsAndTracingOn) {
   // both engines, metrics + tracing + slow-query log all recording. TSan
   // (CI) proves the instrumentation is race-free; here we check the
   // counters add up and results stay correct.
-  auto serial = db_.Run(TriangleQuery(), OptimizerMode::kRelGo);
+  auto serial = db_.Run(TriangleQuery(), OptimizerMode::kRelGo,
+                        Options(exec::EngineKind::kMaterialize, 1));
   ASSERT_TRUE(serial.ok());
   auto reference = testing::SortedRows(*serial->table);
   obs::MetricsSnapshot before = db_.metrics().Snapshot();

@@ -465,7 +465,9 @@ TEST_F(PipelineEngineTest, DatabaseExecuteDispatchesOnEngineKind) {
                    .Column("p1", "name", "a")
                    .Column("p2", "name", "b")
                    .Build();
-  auto oracle = db_.Run(query, optimizer::OptimizerMode::kRelGo);
+  ExecutionOptions reference;
+  reference.engine = exec::EngineKind::kMaterialize;
+  auto oracle = db_.Run(query, optimizer::OptimizerMode::kRelGo, reference);
   ASSERT_TRUE(oracle.ok());
   ExecutionOptions options;
   options.engine = exec::EngineKind::kPipeline;

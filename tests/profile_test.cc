@@ -30,6 +30,13 @@ constexpr OptimizerMode kAllModes[] = {
     OptimizerMode::kRelGoLowOrder, OptimizerMode::kGdbmsSim,
 };
 
+/// The oracle engine, pinned explicitly (the default is the pipeline).
+exec::ExecutionOptions ReferenceOptions() {
+  exec::ExecutionOptions options;
+  options.engine = exec::EngineKind::kMaterialize;
+  return options;
+}
+
 exec::ExecutionOptions PipelineOptions(int threads) {
   exec::ExecutionOptions options;
   options.engine = exec::EngineKind::kPipeline;
@@ -213,7 +220,7 @@ TEST_F(Figure2ProfileTest, TopKSinkReplacesPostOpBreakers) {
 
 TEST_F(Figure2ProfileTest, EnginesAgreePerNodeOnFigure2) {
   for (OptimizerMode mode : kAllModes) {
-    auto oracle = db_.RunProfiled(ExampleQuery(), mode);
+    auto oracle = db_.RunProfiled(ExampleQuery(), mode, ReferenceOptions());
     ASSERT_TRUE(oracle.ok()) << optimizer::ModeName(mode);
     auto piped = db_.RunProfiled(ExampleQuery(), mode, PipelineOptions(4));
     ASSERT_TRUE(piped.ok()) << optimizer::ModeName(mode);
@@ -249,7 +256,7 @@ void ExpectProfiledGridAgrees(const Database& db,
     for (OptimizerMode mode : modes) {
       std::string label = wq.query.name + std::string(" under ") +
                           optimizer::ModeName(mode);
-      auto oracle = db.RunProfiled(wq.query, mode);
+      auto oracle = db.RunProfiled(wq.query, mode, ReferenceOptions());
       ASSERT_TRUE(oracle.ok())
           << label << " (oracle): " << oracle.status().ToString();
       auto piped = db.RunProfiled(wq.query, mode, PipelineOptions(4));

@@ -7,33 +7,36 @@
 //    selection-refinement entry points must agree with it too).
 //  * KeyEncoder vs boxed GroupKey semantics: byte equality must coincide
 //    with Value-vector equality, the chained hash must equal the boxed
-//    GroupKeyHash chain, and Decode must reproduce Column::GetValue.
+//    GroupKeyHash chain, and Decode must reproduce Column::GetValue;
+//    double keys encode canonically (-0.0 == +0.0, one NaN), and a
+//    double-keyed GROUP BY on the pipeline engine matches the reference.
 //  * AggColumnView vs the boxed aggregate update loop.
 //  * TypedColumnCompare / TypedColumnValueCompare vs Value::Compare.
-//  * Whole-query A/B: every workload query under every optimizer mode,
-//    in BOTH engines, must produce byte-identical results (including row
-//    order) with vectorized_kernels on and off.
 //  * ScanCache cost-aware admission and bitmap payloads (the cache layer
 //    the kernel-filter paths publish into).
+//
+// Whole-query agreement of the pipeline engine (kernels) with the
+// materializing reference (EvaluateBool) is pipeline_parity_test's job.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "common/hash.h"
+#include "exec/executor.h"
+#include "exec/pipeline/engine.h"
 #include "exec/scan_cache.h"
 #include "exec/vector/compiled_expr.h"
 #include "exec/vector/typed_keys.h"
 #include "fixtures.h"
 #include "storage/expression.h"
 #include "storage/table.h"
-#include "workload/harness.h"
-#include "workload/imdb.h"
-#include "workload/ldbc.h"
 
 namespace relgo {
 namespace exec {
@@ -358,14 +361,115 @@ TEST(KeyEncoderTest, EncodeMatchesBoxedGroupKeySemantics) {
   }
 }
 
-TEST(KeyEncoderTest, DoubleKeysFallBackToBoxedPath) {
-  // NaN is Compare-equal to every numeric, so double keys are not
-  // byte-encodable; Make must refuse and callers keep the boxed map.
-  EXPECT_EQ(KeyEncoder::Make({LogicalType::kDouble}), nullptr);
-  EXPECT_EQ(
-      KeyEncoder::Make({LogicalType::kInt64, LogicalType::kDouble}),
-      nullptr);
-  EXPECT_NE(KeyEncoder::Make({}), nullptr);  // global aggregate
+TEST(KeyEncoderTest, CanonicalDoubleKeys) {
+  Column col(LogicalType::kDouble);
+  const double kNegNaN = -std::numeric_limits<double>::quiet_NaN();
+  for (double d : {0.0, -0.0, 1.5, -1.5, 2.25, 1e300, -1e-300,
+                   std::numeric_limits<double>::quiet_NaN(), kNegNaN,
+                   std::numeric_limits<double>::infinity()}) {
+    col.AppendDouble(d);
+  }
+  col.AppendNull();
+  ASSERT_TRUE(std::signbit(col.double_at(1)));
+  ASSERT_TRUE(std::isnan(col.double_at(8)));
+
+  auto encoder = KeyEncoder::Make({LogicalType::kDouble});
+  ASSERT_NE(encoder, nullptr);
+  const Column* cols[] = {&col};
+  std::vector<EncodedGroupKey> keys(col.size());
+  for (uint64_t r = 0; r < col.size(); ++r) {
+    encoder->Encode(cols, r, &keys[r]);
+  }
+  // +0.0 and -0.0 form one group; so do the two NaN bit patterns.
+  EXPECT_TRUE(keys[0] == keys[1]);
+  EXPECT_EQ(keys[0].hash, keys[1].hash);
+  EXPECT_TRUE(keys[7] == keys[8]);
+  EXPECT_EQ(keys[7].hash, keys[8].hash);
+  // Every other pair of distinct doubles (and NULL) stays distinct.
+  const std::vector<uint64_t> distinct = {0, 2, 3, 4, 5, 6, 7, 9, 10};
+  for (size_t i = 0; i < distinct.size(); ++i) {
+    for (size_t j = i + 1; j < distinct.size(); ++j) {
+      EXPECT_FALSE(keys[distinct[i]] == keys[distinct[j]])
+          << "rows " << distinct[i] << " and " << distinct[j];
+    }
+  }
+  // Decode round-trips the canonical value: exact for ordinary doubles,
+  // +0.0 for both zeros, a NaN for both NaNs, NULL for NULL.
+  std::vector<Value> decoded;
+  for (uint64_t r = 0; r < col.size(); ++r) {
+    encoder->Decode(keys[r], &decoded);
+    ASSERT_EQ(decoded.size(), 1u);
+    if (!col.is_valid(r)) {
+      EXPECT_TRUE(decoded[0].is_null());
+      continue;
+    }
+    ASSERT_EQ(decoded[0].type(), LogicalType::kDouble) << "row " << r;
+    double got = decoded[0].double_value();
+    double want = col.double_at(r);
+    if (std::isnan(want)) {
+      EXPECT_TRUE(std::isnan(got)) << "row " << r;
+    } else {
+      EXPECT_EQ(got, want) << "row " << r;
+      EXPECT_FALSE(std::signbit(got) && want == 0.0) << "row " << r;
+    }
+  }
+  // Mixed with other key types, and the global aggregate's empty key.
+  EXPECT_NE(KeyEncoder::Make({LogicalType::kInt64, LogicalType::kDouble}),
+            nullptr);
+  EXPECT_NE(KeyEncoder::Make({}), nullptr);
+}
+
+TEST(KeyEncoderTest, DoubleGroupByPipelineMatchesReference) {
+  // Enough rows for several morsels, so the pipeline engine merges
+  // per-worker partial groups. Within every 8-row block the int key is
+  // constant and +0.0 precedes -0.0, so the reference's first-seen zero
+  // is +0.0 like the canonical one. Sums stay exact (small integers).
+  storage::Catalog catalog;
+  auto table = catalog.CreateTable(
+      "readings", Schema({ColumnDef{"d", LogicalType::kDouble},
+                          ColumnDef{"i", LogicalType::kInt64},
+                          ColumnDef{"v", LogicalType::kDouble}}));
+  ASSERT_TRUE(table.ok());
+  const double kPool[] = {0.0, 1.5, -0.0, -2.75, 1e300, 1.5, -1e-300, 0.125};
+  for (int64_t r = 0; r < 9000; ++r) {
+    Value d = r % 11 == 10 ? Value::Null() : Value::Double(kPool[r % 8]);
+    ASSERT_TRUE((*table)
+                    ->AppendRow({d, Value::Int((r / 8) % 3),
+                                 Value::Double(static_cast<double>(r % 5))})
+                    .ok());
+  }
+  graph::RgMapping mapping;
+
+  auto scan = std::make_unique<plan::PhysScanTable>();
+  scan->table = "readings";
+  scan->alias = "r";
+  plan::PhysHashAggregate agg;
+  agg.group_by = {"r.d", "r.i"};
+  agg.aggregates = {{plan::AggFunc::kCount, "", "n"},
+                    {plan::AggFunc::kSum, "r.v", "s"},
+                    {plan::AggFunc::kMin, "r.v", "lo"}};
+  agg.children.push_back(std::move(scan));
+
+  ExecutionContext reference_ctx(&catalog, &mapping, nullptr);
+  auto reference = Executor::Run(agg, &reference_ctx);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  // Six double keys (+-0 merged) plus NULL, times three ints.
+  EXPECT_EQ((*reference)->num_rows(), 21u);
+
+  ExecutionOptions pipeline_options;
+  pipeline_options.num_threads = 4;
+  ExecutionContext pipeline_ctx(&catalog, &mapping, nullptr,
+                                pipeline_options);
+  auto piped = pipeline::Run(agg, &pipeline_ctx);
+  ASSERT_TRUE(piped.ok()) << piped.status().ToString();
+  ASSERT_EQ((*piped)->num_rows(), (*reference)->num_rows());
+  for (uint64_t r = 0; r < (*piped)->num_rows(); ++r) {
+    for (size_t c = 0; c < (*piped)->num_columns(); ++c) {
+      EXPECT_EQ((*piped)->GetValue(r, c).ToString(),
+                (*reference)->GetValue(r, c).ToString())
+          << "row " << r << " col " << c;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -506,124 +610,4 @@ TEST(ScanCacheAdmissionTest, BitmapKeyNamespaceNeverCollides) {
 }  // namespace
 }  // namespace vector
 }  // namespace exec
-
-// ---------------------------------------------------------------------------
-// Whole-query A/B grid: kernels on vs off must be byte-identical
-// ---------------------------------------------------------------------------
-
-namespace workload {
-namespace {
-
-using optimizer::OptimizerMode;
-
-/// Row strings WITHOUT sorting: the kernel layer must not even reorder
-/// rows, so the comparison is on the exact emitted sequence.
-std::vector<std::string> ExactRows(const storage::Table& table) {
-  std::vector<std::string> rows;
-  rows.reserve(table.num_rows());
-  for (uint64_t r = 0; r < table.num_rows(); ++r) {
-    std::string row;
-    for (size_t c = 0; c < table.num_columns(); ++c) {
-      if (c) row += "|";
-      row += table.GetValue(r, c).ToString();
-    }
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
-void ExpectKernelsOnOffIdentical(const Database& db, const WorkloadQuery& wq,
-                                 OptimizerMode mode) {
-  for (exec::EngineKind engine :
-       {exec::EngineKind::kMaterialize, exec::EngineKind::kPipeline}) {
-    exec::ExecutionOptions on;
-    on.engine = engine;
-    on.num_threads = 4;
-    on.vectorized_kernels = true;
-    exec::ExecutionOptions off = on;
-    off.vectorized_kernels = false;
-
-    auto with = db.Run(wq.query, mode, on);
-    ASSERT_TRUE(with.ok()) << wq.query.name << " kernels=on: "
-                           << with.status().ToString();
-    auto without = db.Run(wq.query, mode, off);
-    ASSERT_TRUE(without.ok()) << wq.query.name << " kernels=off: "
-                              << without.status().ToString();
-    EXPECT_EQ(ExactRows(*with->table), ExactRows(*without->table))
-        << wq.query.name << " under " << optimizer::ModeName(mode)
-        << (engine == exec::EngineKind::kPipeline ? " (pipeline)"
-                                                  : " (materialize)");
-  }
-}
-
-/// All optimizer modes of the paper's evaluation (as pipeline_parity).
-constexpr OptimizerMode kAllModes[] = {
-    OptimizerMode::kDuckDB,       OptimizerMode::kGRainDB,
-    OptimizerMode::kUmbraLike,    OptimizerMode::kRelGo,
-    OptimizerMode::kRelGoHash,    OptimizerMode::kRelGoNoEI,
-    OptimizerMode::kRelGoNoRule,  OptimizerMode::kRelGoNoFuse,
-    OptimizerMode::kRelGoLowOrder, OptimizerMode::kGdbmsSim,
-};
-
-class LdbcKernelGridTest : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() {
-    db_ = new Database();
-    LdbcOptions options;
-    options.scale_factor = 0.08;  // matches pipeline_parity_test
-    ASSERT_TRUE(GenerateLdbc(db_, options).ok());
-  }
-  static void TearDownTestSuite() {
-    delete db_;
-    db_ = nullptr;
-  }
-  static Database* db_;
-};
-Database* LdbcKernelGridTest::db_ = nullptr;
-
-TEST_F(LdbcKernelGridTest, AllQueriesAllModesBothEngines) {
-  std::vector<WorkloadQuery> all = LdbcInteractiveQueries(*db_);
-  for (auto& wq : LdbcRuleQueries(*db_)) all.push_back(wq);
-  for (auto& wq : LdbcCyclicQueries(*db_)) all.push_back(wq);
-  for (const auto& wq : all) {
-    for (OptimizerMode mode : kAllModes) {
-      ExpectKernelsOnOffIdentical(*db_, wq, mode);
-    }
-  }
-}
-
-class ImdbKernelGridTest : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() {
-    db_ = new Database();
-    ImdbOptions options;
-    options.scale_factor = 0.04;  // matches pipeline_parity_test
-    ASSERT_TRUE(GenerateImdb(db_, options).ok());
-  }
-  static void TearDownTestSuite() {
-    delete db_;
-    db_ = nullptr;
-  }
-  static Database* db_;
-};
-Database* ImdbKernelGridTest::db_ = nullptr;
-
-TEST_F(ImdbKernelGridTest, JobQueriesRepresentativeModes) {
-  // Mode list trimmed for runtime like workload_test trims kRelGoNoRule:
-  // the kernel layer is mode-independent (it sits below the optimizer),
-  // so three structurally distinct plan families cover it.
-  constexpr OptimizerMode kJobModes[] = {
-      OptimizerMode::kDuckDB,
-      OptimizerMode::kRelGo,
-      OptimizerMode::kRelGoHash,
-  };
-  for (const auto& wq : JobQueries(*db_)) {
-    for (OptimizerMode mode : kJobModes) {
-      ExpectKernelsOnOffIdentical(*db_, wq, mode);
-    }
-  }
-}
-
-}  // namespace
-}  // namespace workload
 }  // namespace relgo
