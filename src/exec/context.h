@@ -47,12 +47,12 @@ class TaskScheduler;
 /// Both engines produce identical result bags (pipeline_parity_test.cc);
 /// the materializing engine is the oracle for differential testing.
 /// Pipeline row order is deterministic and thread-count independent
-/// (sinks merge in morsel order, equal to the sequential scan order), so
-/// repeated runs are reproducible; ORDER BY + LIMIT tie-breaking can still
-/// differ *between* the two engines on index-free EXPAND / EDGE_VERIFY
-/// plans, whose materializing implementation picks its hash build side
-/// adaptively and thereby emits rows in a different (but equally valid)
-/// order.
+/// (sinks merge in (morsel, chunk path) order, equal to the sequential
+/// scan order), so repeated runs are reproducible; ORDER BY + LIMIT
+/// tie-breaking can still differ *between* the two engines on index-free
+/// EXPAND / EDGE_VERIFY plans, whose materializing implementation picks
+/// its hash build side adaptively and thereby emits rows in a different
+/// (but equally valid) order.
 enum class EngineKind {
   kMaterialize,
   kPipeline,
@@ -66,12 +66,18 @@ enum class EngineKind {
 ///    loops, every `kInterruptCheckMask + 1` (= 4096) iterations. One
 ///    shared constant for every loop (this used to be an ad-hoc mix of
 ///    0xFFFF / 0xFFF / 0x3FF masks).
-///  * The pipeline engine checks once per morsel (kBatchRows = 2048 rows)
-///    before any work on the morsel, plus at pipeline/breaker entry.
+///  * The pipeline engine checks once per task before any work on it,
+///    plus at pipeline/breaker entry. A task is a source morsel or a
+///    chunk of an oversized operator output, and either feeds at most
+///    kBatchRows = 2048 rows into the next operator: outputs over
+///    kBatchRows rows are cut into kBatchRows-row chunks, each its own
+///    task (and its own kMorselBoundary fault-site visit), so one
+///    operator call never runs on an unbounded expansion.
 ///
 /// Consequently Database::CancelQuery (and the timeout clock) is observed
-/// within one morsel or one check-interval of row-loop work in BOTH
-/// engines — a few thousand rows of latency, never an unbounded scan.
+/// within one task or one check-interval of row-loop work in BOTH
+/// engines — a few thousand input rows (times one operator's per-row
+/// fan-out) of latency, never an unbounded scan or expansion.
 /// Row-budget accounting (ChargeRows) also routes through CheckInterrupt,
 /// so any operator that materializes output observes interrupts at least
 /// once per produced batch.

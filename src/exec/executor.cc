@@ -160,9 +160,9 @@ Result<TablePtr> ExecProject(const plan::PhysProject& op, TablePtr child,
 
 /// Hash-joins two materialized tables on boxed key Values (names resolved
 /// in each side's schema). Each probe row's matches come out in build-row
-/// order. Keys match under Value equality, so NULL keys match each other
-/// but not 0 / "" (the pipeline's JoinHashTable compares the payload
-/// placeholders instead; the workloads' join keys are never NULL).
+/// order. Keys match under Value equality, except that — SQL semantics,
+/// like the pipeline's JoinHashTable — a row with a NULL in any key
+/// column matches nothing, not even another NULL.
 /// Output schema: all left columns followed by all right columns except
 /// `drop_right` (PATTERN_JOIN drops its duplicated shared variables) and
 /// except names the left side already has.
@@ -176,14 +176,22 @@ Result<TablePtr> HashJoinTables(const Table& left, const Table& right,
                          ColumnIndexes(right, right_keys));
   RELGO_ASSIGN_OR_RETURN(std::vector<size_t> probe_cols,
                          ColumnIndexes(left, left_keys));
+  auto has_null = [](const GroupKey& key) {
+    for (const Value& v : key.values) {
+      if (v.is_null()) return true;
+    }
+    return false;
+  };
   std::unordered_map<GroupKey, std::vector<uint64_t>, GroupKeyHash> build;
   for (uint64_t b = 0; b < right.num_rows(); ++b) {
-    build[RowKey(right, build_cols, b)].push_back(b);
+    GroupKey key = RowKey(right, build_cols, b);
+    if (!has_null(key)) build[std::move(key)].push_back(b);
   }
 
   std::vector<uint64_t> left_sel, right_sel;
   for (uint64_t r = 0; r < left.num_rows(); ++r) {
-    auto it = build.find(RowKey(left, probe_cols, r));
+    GroupKey key = RowKey(left, probe_cols, r);
+    auto it = has_null(key) ? build.end() : build.find(key);
     if (it != build.end()) {
       for (uint64_t b : it->second) {
         left_sel.push_back(r);

@@ -36,6 +36,10 @@ namespace exec {
 ///     across workers.
 ///
 /// Build() wraps the three phases into a serial convenience.
+///
+/// NULL keys follow SQL: a row with a NULL in any key column is never
+/// hashed at build and never probed, so it matches nothing — not another
+/// NULL, and not the 0 / "" placeholder a NULL slot holds in its payload.
 class JoinHashTable {
  public:
   /// Shard count of the partition directory. Power of two; large enough to
@@ -69,26 +73,28 @@ class JoinHashTable {
     const std::string* strs = nullptr;
     const int32_t* codes = nullptr;                   // dict mode only
     const storage::StringDictionary* dict = nullptr;  // dict mode only
+    const uint8_t* valid = nullptr;  // validity; null == no NULLs
   };
 
   /// Phase 1 of 3: resolves `keys` against the build table and preallocates
   /// the partition directory. The table must outlive the hash table.
   /// Keys must be int64 or string columns; string keys use dictionary
-  /// codes when the column has one. Like the int64 path's null =>
-  /// payload-0 convention, string nulls hash and compare as their ""
-  /// payload placeholder.
+  /// codes when the column has one.
   Status BeginBuild(const storage::Table& table,
                     const std::vector<std::string>& keys) {
     table_ = &table;
     key_cols_.clear();
     keyspans_.clear();
     build_keys_.clear();
+    build_has_nulls_ = false;
     bool all_int64 = true;
     for (const auto& k : keys) {
       RELGO_ASSIGN_OR_RETURN(size_t idx, table.schema().GetColumnIndex(k));
       const storage::Column& col = table.column(idx);
       BuildKey bk;
       bk.type = col.type();
+      bk.valid = col.validity_data();
+      if (bk.valid != nullptr) build_has_nulls_ = true;
       if (bk.type == LogicalType::kInt64) {
         bk.ints = col.data_int64();
       } else if (bk.type == LogicalType::kString) {
@@ -105,11 +111,10 @@ class JoinHashTable {
       key_cols_.push_back(idx);
       keyspans_.push_back(bk);
     }
-    // Hoist the int64 payload spans once: the engines' typed-span Probe
-    // overload and its hash re-check read raw slots instead of going
-    // through Column per row. Only populated for all-int64 key sets —
-    // the planner's joins (binding columns) are exactly that; string
-    // keys go through BindProbe/ProbeView.
+    // Hoist the int64 payload spans once: the all-int64 probe path and
+    // its hash re-check read raw slots instead of going through Column
+    // per row. Only populated for all-int64 key sets — the planner's
+    // joins (binding columns) are exactly that.
     if (all_int64) {
       for (size_t idx : key_cols_) {
         build_keys_.push_back(table.column(idx).data_int64());
@@ -123,6 +128,7 @@ class JoinHashTable {
   void PartitionRows(uint64_t begin, uint64_t count,
                      BuildPartial* partial) const {
     for (uint64_t r = begin; r < begin + count; ++r) {
+      if (build_has_nulls_ && HasNullKey(r)) continue;
       size_t h = HashRow(r);
       partial->runs[PartitionOf(h)].push_back(Entry{h, r});
     }
@@ -175,12 +181,14 @@ class JoinHashTable {
       const std::string* strs = nullptr;
       const int32_t* codes = nullptr;  // valid when shared
       bool shared = false;
+      const uint8_t* valid = nullptr;  // validity; null == no NULLs
     };
     std::vector<Key> keys;
+    bool has_nulls = false;  // some key column carries a validity vector
   };
 
-  /// True when any build key is a string column — the engines then
-  /// probe through BindProbe/ProbeView instead of hoisted int64 spans.
+  /// True when any build key is a string column (dictionary codes or
+  /// payload bytes instead of raw int64 slots).
   bool has_string_keys() const {
     for (const BuildKey& k : keyspans_) {
       if (k.type == LogicalType::kString) return true;
@@ -196,6 +204,7 @@ class JoinHashTable {
                    const std::vector<size_t>& probe_cols,
                    ProbeView* view) const {
     view->keys.clear();
+    view->has_nulls = false;
     for (size_t i = 0; i < probe_cols.size(); ++i) {
       const storage::Column& col = probe.column(probe_cols[i]);
       const BuildKey& bk = keyspans_[i];
@@ -203,6 +212,8 @@ class JoinHashTable {
         return Status::InvalidArgument("probe/build join key type mismatch");
       }
       ProbeView::Key k;
+      k.valid = col.validity_data();
+      if (k.valid != nullptr) view->has_nulls = true;
       if (bk.type == LogicalType::kInt64) {
         k.ints = col.data_int64();
       } else {
@@ -221,6 +232,19 @@ class JoinHashTable {
   /// probe view into `out`.
   void Probe(const ProbeView& view, uint64_t row,
              std::vector<uint64_t>* out) const {
+    if (view.has_nulls) {
+      for (const ProbeView::Key& pk : view.keys) {
+        if (pk.valid != nullptr && pk.valid[row] == 0) return;
+      }
+    }
+    if (!build_keys_.empty()) {  // all-int64 keys: raw payload slots
+      size_t h = kHashSeed;
+      for (const ProbeView::Key& pk : view.keys) {
+        h = HashCombine(h, static_cast<size_t>(pk.ints[row]));
+      }
+      ProbeHash(h, [&](size_t i) { return view.keys[i].ints[row]; }, out);
+      return;
+    }
     size_t h = kHashSeed;
     for (size_t i = 0; i < keyspans_.size(); ++i) {
       const BuildKey& bk = keyspans_[i];
@@ -259,30 +283,18 @@ class JoinHashTable {
 
   /// Appends matching build-side rows for probe row (cols `probe_cols` of
   /// `probe`) into `out`. Per-row convenience over BindProbe for int64
-  /// keys (bit-identical to the typed-span overload below).
+  /// keys (bit-identical to the ProbeView overload above).
   void Probe(const storage::Table& probe,
              const std::vector<size_t>& probe_cols, uint64_t row,
              std::vector<uint64_t>* out) const {
     size_t h = kHashSeed;
     for (size_t c : probe_cols) {
+      if (!probe.column(c).is_valid(row)) return;
       h = HashCombine(h, static_cast<size_t>(probe.column(c).int_at(row)));
     }
     ProbeHash(h,
               [&](size_t i) { return probe.column(probe_cols[i]).int_at(row); },
               out);
-  }
-
-  /// Typed-span probe: `keys[i]` is the raw int64 payload of the i-th
-  /// probe key column, hoisted once per table / batch by the caller (the
-  /// pipeline engine's hot join loop). Bit-identical to the overloads
-  /// above — int_at reads the same payload the spans expose.
-  void Probe(const int64_t* const* keys, uint64_t row,
-             std::vector<uint64_t>* out) const {
-    size_t h = kHashSeed;
-    for (size_t i = 0; i < key_cols_.size(); ++i) {
-      h = HashCombine(h, static_cast<size_t>(keys[i][row]));
-    }
-    ProbeHash(h, [&](size_t i) { return keys[i][row]; }, out);
   }
 
  private:
@@ -312,6 +324,13 @@ class JoinHashTable {
     }
   }
 
+  bool HasNullKey(uint64_t r) const {
+    for (const BuildKey& k : keyspans_) {
+      if (k.valid != nullptr && k.valid[r] == 0) return true;
+    }
+    return false;
+  }
+
   size_t HashRow(uint64_t r) const {
     size_t h = kHashSeed;
     for (const BuildKey& k : keyspans_) {
@@ -329,8 +348,9 @@ class JoinHashTable {
   const storage::Table* table_ = nullptr;
   std::vector<size_t> key_cols_;
   std::vector<BuildKey> keyspans_;  ///< resolved key spans, one per key
+  bool build_has_nulls_ = false;    ///< some key column has a validity vector
   /// int64 payload spans, populated only for all-int64 key sets (the
-  /// planner's joins) — backs the typed-span Probe overload.
+  /// planner's joins) — backs Probe's all-int64 path.
   std::vector<const int64_t*> build_keys_;
   std::array<Shard, kNumPartitions> shards_;
 };

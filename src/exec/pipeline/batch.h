@@ -15,6 +15,14 @@ namespace pipeline {
 /// small enough that a batch's working set stays cache-resident.
 constexpr uint64_t kBatchRows = 2048;
 
+/// A batch's position in its pipeline's sequential row order: the source
+/// morsel index, then one chunk index per split of an oversized operator
+/// output on the way to the sink (see RunPipeline). Streaming operators
+/// emit rows in input-row order, so comparing keys lexicographically —
+/// then rows within a batch — reproduces the order a single worker
+/// running each morsel's whole batch through the chain would produce.
+using SeqKey = std::vector<uint64_t>;
+
 /// A shared, immutable column vector. Batches share columns with their
 /// producers (zero-copy) wherever a column passes through unchanged —
 /// projection reorders, full-table morsels, join pass-through sides.
@@ -53,6 +61,15 @@ class Batch {
     Batch out;
     for (const auto& col : columns_) out.AddOwned(col->Gather(sel));
     out.SetNumRows(sel.size());
+    return out;
+  }
+
+  /// Copies rows [begin, begin + count) of every column into a new batch
+  /// (one chunk of an oversized operator output).
+  Batch Slice(uint64_t begin, uint64_t count) const {
+    Batch out;
+    for (const auto& col : columns_) out.AddOwned(col->Slice(begin, count));
+    out.SetNumRows(count);
     return out;
   }
 

@@ -1,8 +1,10 @@
 #include "exec/pipeline/operators.h"
 
 #include <algorithm>
+#include <deque>
 #include <numeric>
 #include <queue>
+#include <tuple>
 
 #include "common/fault.h"
 #include "common/timer.h"
@@ -140,29 +142,15 @@ Status HashJoinProbeOp::Prepare(const Schema& input, ExecutionContext* ctx) {
 
 Status HashJoinProbeOp::Process(const Batch& in, Batch* out,
                                 ExecutionContext* ctx) const {
-  // Hoist the probe-key payload spans once per batch; the per-row probe
-  // then touches raw int64 slots only (see JoinHashTable's span
-  // overload). String keys bind a ProbeView instead: dictionary codes
-  // when the batch still carries the build dictionary, payload bytes
-  // (or per-row translation) otherwise.
-  const bool string_keys = ht_->has_string_keys();
+  // Bind the probe-key spans once per batch; the per-row probe then
+  // touches raw int64 slots (or dictionary codes / string payloads) only.
   exec::JoinHashTable::ProbeView view;
-  std::vector<const int64_t*> keys;
-  if (string_keys) {
-    RELGO_RETURN_NOT_OK(ht_->BindProbe(in, probe_cols_, &view));
-  } else {
-    keys.reserve(probe_cols_.size());
-    for (size_t c : probe_cols_) keys.push_back(in.column(c).data_int64());
-  }
+  RELGO_RETURN_NOT_OK(ht_->BindProbe(in, probe_cols_, &view));
 
   std::vector<uint64_t> left_sel, right_sel, matches;
   for (uint64_t r = 0; r < in.num_rows(); ++r) {
     matches.clear();
-    if (string_keys) {
-      ht_->Probe(view, r, &matches);
-    } else {
-      ht_->Probe(keys.data(), r, &matches);
-    }
+    ht_->Probe(view, r, &matches);
     for (uint64_t b : matches) {
       left_sel.push_back(r);
       right_sel.push_back(b);
@@ -828,20 +816,20 @@ Status ScanGraphTableOp::Process(const Batch& in, Batch* out,
 
 namespace {
 
-/// Per-worker (morsel, batch) collection, the shared state of every
+/// Per-worker (seq, batch) collection, the shared state of every
 /// batch-collecting sink (MaterializeSink, HashBuildSink, and TopKSink's
 /// sort/limit modes — which derive from it).
 struct BatchListState : SinkState {
-  std::vector<std::pair<uint64_t, Batch>> batches;  // (morsel, batch)
+  std::vector<std::pair<SeqKey, Batch>> batches;
 };
 
-/// Per-worker (morsel, batch) lists sorted into global morsel order — the
+/// Per-worker (seq, batch) lists sorted into global sequence order — the
 /// sequential (num_threads = 1) order, which in turn equals the
 /// materializing executor's, so downstream order-sensitive consumers break
 /// ties identically.
-std::vector<const std::pair<uint64_t, Batch>*> OrderedBatches(
+std::vector<const std::pair<SeqKey, Batch>*> OrderedBatches(
     const std::vector<std::unique_ptr<SinkState>>& states) {
-  std::vector<const std::pair<uint64_t, Batch>*> ordered;
+  std::vector<const std::pair<SeqKey, Batch>*> ordered;
   for (const auto& state : states) {
     for (const auto& entry :
          static_cast<BatchListState*>(state.get())->batches) {
@@ -853,9 +841,9 @@ std::vector<const std::pair<uint64_t, Batch>*> OrderedBatches(
   return ordered;
 }
 
-/// Concatenates morsel-ordered batches into one table.
+/// Concatenates sequence-ordered batches into one table.
 TablePtr ConcatBatches(
-    const std::vector<const std::pair<uint64_t, Batch>*>& ordered,
+    const std::vector<const std::pair<SeqKey, Batch>*>& ordered,
     const std::string& name, const Schema& schema) {
   auto out = std::make_shared<Table>(name, schema);
   for (const auto* entry : ordered) {
@@ -881,9 +869,10 @@ std::unique_ptr<SinkState> MaterializeSink::MakeState() const {
 }
 
 Status MaterializeSink::Consume(SinkState* state, const Batch& in,
-                                uint64_t morsel, ExecutionContext* ctx) const {
+                                const SeqKey& seq,
+                                ExecutionContext* ctx) const {
   (void)ctx;
-  static_cast<BatchListState*>(state)->batches.emplace_back(morsel, in);
+  static_cast<BatchListState*>(state)->batches.emplace_back(seq, in);
   return Status::OK();
 }
 
@@ -906,9 +895,9 @@ std::unique_ptr<SinkState> HashBuildSink::MakeState() const {
 }
 
 Status HashBuildSink::Consume(SinkState* state, const Batch& in,
-                              uint64_t morsel, ExecutionContext* ctx) const {
+                              const SeqKey& seq, ExecutionContext* ctx) const {
   (void)ctx;
-  static_cast<BatchListState*>(state)->batches.emplace_back(morsel, in);
+  static_cast<BatchListState*>(state)->batches.emplace_back(seq, in);
   return Status::OK();
 }
 
@@ -992,13 +981,19 @@ struct AggState {
 };
 
 /// One group's partial aggregate plus where it was first seen. The
-/// (morsel, row) coordinate orders merged groups identically to a
+/// (seq, row) coordinate orders merged groups identically to a
 /// sequential first-seen scan, making group output order independent of
-/// thread count (and equal to the materializing executor's).
+/// thread count (and equal to the materializing executor's). `first_seq`
+/// points into the owning partial's `seqs`, alive until Finish returns.
 struct PartialGroup {
   std::vector<AggState> states;
-  uint64_t first_morsel = 0;
+  const SeqKey* first_seq = nullptr;
   uint64_t first_row = 0;
+
+  bool SeenBefore(const PartialGroup& other) const {
+    return std::tie(*first_seq, first_row) <
+           std::tie(*other.first_seq, other.first_row);
+  }
 };
 
 /// Groups keyed on byte-encoded group keys read from payload spans
@@ -1008,6 +1003,7 @@ using GroupMap = std::unordered_map<vector::EncodedGroupKey, PartialGroup,
 
 struct AggregatePartial : SinkState {
   GroupMap groups;
+  std::deque<SeqKey> seqs;  // keys of batches that opened a group
 };
 
 }  // namespace
@@ -1040,7 +1036,7 @@ std::unique_ptr<SinkState> AggregateSink::MakeState() const {
 }
 
 Status AggregateSink::Consume(SinkState* state, const Batch& in,
-                              uint64_t morsel, ExecutionContext* ctx) const {
+                              const SeqKey& seq, ExecutionContext* ctx) const {
   (void)ctx;
   auto* partial = static_cast<AggregatePartial*>(state);
   // Encoded keys + span-read aggregate inputs; a Value is only boxed when
@@ -1056,13 +1052,18 @@ Status AggregateSink::Consume(SinkState* state, const Batch& in,
     }
   }
   vector::EncodedGroupKey key;
+  const SeqKey* stored_seq = nullptr;
   for (uint64_t r = 0; r < in.num_rows(); ++r) {
     encoder_->Encode(key_cols.data(), r, &key);
     auto it = partial->groups.find(key);
     if (it == partial->groups.end()) {
+      if (stored_seq == nullptr) {
+        partial->seqs.push_back(seq);
+        stored_seq = &partial->seqs.back();
+      }
       PartialGroup group;
       group.states.resize(op_.aggregates.size());
-      group.first_morsel = morsel;
+      group.first_seq = stored_seq;
       group.first_row = r;
       it = partial->groups.emplace(key, std::move(group)).first;
     }
@@ -1080,8 +1081,8 @@ Result<TablePtr> AggregateSink::Finish(
     ExecutionContext* ctx) {
   (void)scheduler;
   // Merge thread-local partials; a group's position is its globally
-  // earliest first-seen (morsel, row), so the output order matches the
-  // sequential scan regardless of which worker saw which morsel.
+  // earliest first-seen (seq, row), so the output order matches the
+  // sequential scan regardless of which worker saw which batch.
   GroupMap groups;
   for (const auto& state : states) {
     auto* partial = static_cast<AggregatePartial*>(state.get());
@@ -1095,9 +1096,8 @@ Result<TablePtr> AggregateSink::Finish(
       for (size_t a = 0; a < dst->states.size(); ++a) {
         dst->states[a].MergeFrom(src.states[a]);
       }
-      if (std::make_pair(src.first_morsel, src.first_row) <
-          std::make_pair(dst->first_morsel, dst->first_row)) {
-        dst->first_morsel = src.first_morsel;
+      if (src.SeenBefore(*dst)) {
+        dst->first_seq = src.first_seq;
         dst->first_row = src.first_row;
       }
     }
@@ -1106,8 +1106,7 @@ Result<TablePtr> AggregateSink::Finish(
   order.reserve(groups.size());
   for (const auto& entry : groups) order.push_back(&entry);
   std::sort(order.begin(), order.end(), [](const auto* a, const auto* b) {
-    return std::make_pair(a->second.first_morsel, a->second.first_row) <
-           std::make_pair(b->second.first_morsel, b->second.first_row);
+    return a->second.SeenBefore(b->second);
   });
 
   Schema schema;
@@ -1177,15 +1176,21 @@ Result<TablePtr> AggregateSink::Finish(
 namespace {
 
 /// One kept candidate row in heap mode: the full row as Values plus its
-/// global (morsel, row) sequence coordinate for stable tie-breaking.
+/// global (seq, row) coordinate for stable tie-breaking. `seq` points
+/// into the owning state's `seqs`, alive until Finish returns.
 struct HeapRow {
   std::vector<Value> vals;
-  uint64_t morsel = 0;
+  const SeqKey* seq = nullptr;
   uint64_t row = 0;
+
+  bool SeqBefore(const HeapRow& other) const {
+    return std::tie(*seq, row) < std::tie(*other.seq, other.row);
+  }
 };
 
 struct TopKState : BatchListState {  // batches used by sort / limit modes
   std::vector<HeapRow> heap;         // heap mode
+  std::deque<SeqKey> seqs;           // keys of batches with heap rows
   uint64_t rows_seen = 0;
 };
 
@@ -1232,14 +1237,14 @@ std::unique_ptr<SinkState> TopKSink::MakeState() const {
   return std::make_unique<TopKState>();
 }
 
-Status TopKSink::Consume(SinkState* state, const Batch& in, uint64_t morsel,
+Status TopKSink::Consume(SinkState* state, const Batch& in, const SeqKey& seq,
                          ExecutionContext* ctx) const {
   (void)ctx;
   auto* s = static_cast<TopKState*>(state);
   s->rows_seen += in.num_rows();
 
   if (!HeapMode()) {
-    if (limit_ != 0) s->batches.emplace_back(morsel, in);
+    if (limit_ != 0) s->batches.emplace_back(seq, in);
     // The early-exit frontier advances in MorselFinished, which the
     // pipeline calls after this batch is safely stored.
     return Status::OK();
@@ -1255,7 +1260,7 @@ Status TopKSink::Consume(SinkState* state, const Batch& in, uint64_t morsel,
         order_->keys, [&](size_t i) { return a.vals[key_cols_[i]]; },
         [&](size_t i) { return b.vals[key_cols_[i]]; });
     if (c != 0) return c < 0;
-    return std::make_pair(a.morsel, a.row) < std::make_pair(b.morsel, b.row);
+    return a.SeqBefore(b);
   };
   // The fence test reads the incoming batch through typed spans while
   // retained heap rows stay boxed (sign-identical to the boxed
@@ -1270,14 +1275,13 @@ Status TopKSink::Consume(SinkState* state, const Batch& in, uint64_t morsel,
     }
     return 0;
   };
+  const SeqKey* stored_seq = nullptr;
   for (uint64_t r = 0; r < in.num_rows(); ++r) {
     if (heap.size() == k) {
       const HeapRow& worst = heap.front();
       int c = fence_cmp(r, worst);
       bool before_worst =
-          c != 0 ? c < 0
-                 : std::make_pair(morsel, r) <
-                       std::make_pair(worst.morsel, worst.row);
+          c != 0 ? c < 0 : std::tie(seq, r) < std::tie(*worst.seq, worst.row);
       if (!before_worst) continue;
       std::pop_heap(heap.begin(), heap.end(), heap_cmp);
       heap.pop_back();
@@ -1287,7 +1291,11 @@ Status TopKSink::Consume(SinkState* state, const Batch& in, uint64_t morsel,
     for (size_t c = 0; c < in.num_columns(); ++c) {
       candidate.vals.push_back(in.column(c).GetValue(r));
     }
-    candidate.morsel = morsel;
+    if (stored_seq == nullptr) {
+      s->seqs.push_back(seq);
+      stored_seq = &s->seqs.back();
+    }
+    candidate.seq = stored_seq;
     candidate.row = r;
     heap.push_back(std::move(candidate));
     std::push_heap(heap.begin(), heap.end(), heap_cmp);
@@ -1307,7 +1315,7 @@ Result<TablePtr> TopKSink::Finish(
 
   if (HeapMode()) {
     // Merge the per-worker top-k candidates (<= workers * k rows) and sort
-    // them once; the (morsel, row) tie-break reproduces the oracle's
+    // them once; the (seq, row) tie-break reproduces the oracle's
     // stable sort over the sequential row order.
     std::vector<HeapRow> candidates;
     for (auto& state : states) {
@@ -1322,8 +1330,7 @@ Result<TablePtr> TopKSink::Finish(
                     [&](size_t i) { return a.vals[key_cols_[i]]; },
                     [&](size_t i) { return b.vals[key_cols_[i]]; });
                 if (c != 0) return c < 0;
-                return std::make_pair(a.morsel, a.row) <
-                       std::make_pair(b.morsel, b.row);
+                return a.SeqBefore(b);
               });
     if (candidates.size() > static_cast<size_t>(limit_)) {
       candidates.resize(static_cast<size_t>(limit_));
@@ -1332,7 +1339,7 @@ Result<TablePtr> TopKSink::Finish(
       RELGO_RETURN_NOT_OK(out->AppendRow(row.vals));
     }
   } else if (order_ != nullptr) {
-    // Parallel merge sort over the morsel-ordered row space: chunk-sort on
+    // Parallel merge sort over the sequence-ordered row space: chunk-sort on
     // the scheduler, then k-way merge the sorted runs.
     auto ordered = OrderedBatches(states);
     struct RowRef {
@@ -1408,7 +1415,7 @@ Result<TablePtr> TopKSink::Finish(
     }
     out->FinishBulkAppend();
   } else {
-    // Plain LIMIT: truncate the morsel-ordered concatenation at k rows.
+    // Plain LIMIT: truncate the sequence-ordered concatenation at k rows.
     auto ordered = OrderedBatches(states);
     uint64_t remaining = limit_ >= 0 ? static_cast<uint64_t>(limit_) : total;
     for (const auto* entry : ordered) {

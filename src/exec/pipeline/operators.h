@@ -299,18 +299,20 @@ struct SinkState {
 /// TaskScheduler in hand, so breaker work that parallelizes (hash-table
 /// finalize, sort-run sorting) can fan back out.
 ///
-/// `morsel` is the source morsel index the batch came from. Sinks merge in
-/// morsel order, which makes the pipeline result *order* deterministic and
-/// equal to the sequential (and materializing-executor) order regardless
-/// of thread count — required so ORDER BY + LIMIT breaks ties identically
-/// across engines.
+/// `seq` is the batch's sequence key: its source morsel, then the chunk
+/// index at each split of an oversized operator output (see SeqKey and
+/// RunPipeline). Sinks merge in lexicographic (seq, row) order, which
+/// makes the pipeline result *order* deterministic and equal to the
+/// sequential (and materializing-executor) order regardless of thread
+/// count or how batches were chunked — required so ORDER BY + LIMIT
+/// breaks ties identically across engines.
 class Sink {
  public:
   virtual ~Sink() = default;
   virtual Status Prepare(const storage::Schema& input,
                          ExecutionContext* ctx) = 0;
   virtual std::unique_ptr<SinkState> MakeState() const = 0;
-  virtual Status Consume(SinkState* state, const Batch& in, uint64_t morsel,
+  virtual Status Consume(SinkState* state, const Batch& in, const SeqKey& seq,
                          ExecutionContext* ctx) const = 0;
   virtual Result<storage::TablePtr> Finish(
       std::vector<std::unique_ptr<SinkState>> states, TaskScheduler* scheduler,
@@ -326,31 +328,33 @@ class Sink {
   virtual const plan::PhysicalOp* fused_node() const { return nullptr; }
   /// Short label for pipeline-shaped EXPLAIN ANALYZE rendering.
   virtual const char* label() const { return "MATERIALIZE"; }
-  /// True once consuming further morsels cannot change the result (LIMIT
-  /// early-exit). The scheduler still claims the remaining morsels but
-  /// skips their source emit and operator work. Must only depend on
-  /// *contiguous-prefix* completion (see MorselFinished): a morsel being
-  /// checked may have been claimed before later morsels completed.
+  /// True once consuming further batches cannot change the result (LIMIT
+  /// early-exit). The scheduler still claims the remaining morsels and
+  /// chunks but skips their source emit and operator work. Must only
+  /// depend on *contiguous-prefix* completion (see MorselFinished): a
+  /// morsel being checked may have been claimed before later morsels
+  /// completed.
   virtual bool Saturated() const { return false; }
-  /// Called once per morsel after it fully finished — consumed, emitted
-  /// zero rows, or was skipped because Saturated() — with the row count it
-  /// contributed. Thread-safe like Consume. Default no-op; TopKSink uses
-  /// it to advance its completed-morsel frontier.
+  /// Called once per source morsel after its last task finished — the
+  /// morsel's own and every chunk split off below it; each consumed,
+  /// emitted zero rows, or was skipped because Saturated() — with the row
+  /// count the morsel contributed. Thread-safe like Consume. Default
+  /// no-op; TopKSink uses it to advance its completed-morsel frontier.
   virtual void MorselFinished(uint64_t morsel, uint64_t rows) const {
     (void)morsel;
     (void)rows;
   }
 };
 
-/// Collects (morsel, batch) pairs per worker and concatenates them in
-/// morsel order into one Table (pipeline feeding a breaker, or the query
+/// Collects (seq, batch) pairs per worker and concatenates them in
+/// sequence order into one Table (pipeline feeding a breaker, or the query
 /// result).
 class MaterializeSink : public Sink {
  public:
   explicit MaterializeSink(std::string name) : name_(std::move(name)) {}
   Status Prepare(const storage::Schema& input, ExecutionContext* ctx) override;
   std::unique_ptr<SinkState> MakeState() const override;
-  Status Consume(SinkState* state, const Batch& in, uint64_t morsel,
+  Status Consume(SinkState* state, const Batch& in, const SeqKey& seq,
                  ExecutionContext* ctx) const override;
   Result<storage::TablePtr> Finish(
       std::vector<std::unique_ptr<SinkState>> states, TaskScheduler* scheduler,
@@ -363,8 +367,8 @@ class MaterializeSink : public Sink {
 
 /// Materializes a join build side AND constructs the shared JoinHashTable,
 /// partition-parallel (PhysHashJoin / PhysPatternJoin build sides):
-/// Consume collects per-worker (morsel, batch) lists like MaterializeSink;
-/// Finish concatenates them in morsel order, then builds the hash table in
+/// Consume collects per-worker (seq, batch) lists like MaterializeSink;
+/// Finish concatenates them in sequence order, then builds the hash table in
 /// two parallel phases on the query's scheduler — morsel-parallel scatter
 /// into per-worker partition runs, then partition-parallel finalize into
 /// the preallocated shard directory (JoinHashTable's two-phase API). The
@@ -378,7 +382,7 @@ class HashBuildSink : public Sink {
       : keys_(std::move(keys)), join_node_(join_node) {}
   Status Prepare(const storage::Schema& input, ExecutionContext* ctx) override;
   std::unique_ptr<SinkState> MakeState() const override;
-  Status Consume(SinkState* state, const Batch& in, uint64_t morsel,
+  Status Consume(SinkState* state, const Batch& in, const SeqKey& seq,
                  ExecutionContext* ctx) const override;
   Result<storage::TablePtr> Finish(
       std::vector<std::unique_ptr<SinkState>> states, TaskScheduler* scheduler,
@@ -405,19 +409,19 @@ class HashBuildSink : public Sink {
 ///    them once. Rows past a full heap's fence are discarded O(1).
 ///  * ORDER BY without LIMIT: workers collect their batches; Finish sorts
 ///    per-chunk runs in parallel on the scheduler and k-way merges them —
-///    a parallel merge sort over the morsel-ordered row space.
+///    a parallel merge sort over the sequence-ordered row space.
 ///  * LIMIT without ORDER BY: workers collect batches until the rows of
 ///    the *contiguous completed-morsel prefix* reach k (Saturated() — an
-///    exact early-exit: once morsels [0, f) are all finished and hold
-///    >= k rows, no morsel >= f can contribute to the first k; a morsel
-///    being skipped is never inside the prefix, because prefix morsels
-///    have finished and it has not). The frontier advances in
-///    MorselFinished, which also counts empty and skipped morsels.
-///    Finish truncates the morsel-ordered concatenation. Early-exit is
-///    disabled while profiling so per-node actual row counts stay
-///    engine-invariant.
+///    exact early-exit: once morsels [0, f) are all finished, chunks
+///    included, and hold >= k rows, no batch of a morsel >= f can
+///    contribute to the first k; a batch being skipped is never inside
+///    the prefix, because its morsel still has this task open). The
+///    frontier advances in MorselFinished, which also counts empty and
+///    skipped morsels. Finish truncates the sequence-ordered
+///    concatenation. Early-exit is disabled while profiling so per-node
+///    actual row counts stay engine-invariant.
 ///
-/// Every comparison tie-breaks on the global (morsel, row) sequence, which
+/// Every comparison tie-breaks on the global (seq, row) order, which
 /// equals the sequential scan order — so the selected rows and their order
 /// match the materializing engine's stable sort exactly, independent of
 /// thread count.
@@ -430,7 +434,7 @@ class TopKSink : public Sink {
       : order_(order), limit_node_(limit_node), limit_(limit) {}
   Status Prepare(const storage::Schema& input, ExecutionContext* ctx) override;
   std::unique_ptr<SinkState> MakeState() const override;
-  Status Consume(SinkState* state, const Batch& in, uint64_t morsel,
+  Status Consume(SinkState* state, const Batch& in, const SeqKey& seq,
                  ExecutionContext* ctx) const override;
   Result<storage::TablePtr> Finish(
       std::vector<std::unique_ptr<SinkState>> states, TaskScheduler* scheduler,
@@ -484,7 +488,7 @@ class TopKSink : public Sink {
 
 /// Parallel hash aggregation (PhysHashAggregate): each worker accumulates a
 /// thread-local partial group table; Finish() merges the partials
-/// (count/sum add, min/max combine) in first-seen (morsel, row) order and
+/// (count/sum add, min/max combine) in first-seen (seq, row) order and
 /// emits seed-identical output, including the SQL one-row global aggregate
 /// over empty input.
 class AggregateSink : public Sink {
@@ -492,7 +496,7 @@ class AggregateSink : public Sink {
   explicit AggregateSink(const plan::PhysHashAggregate& op) : op_(op) {}
   Status Prepare(const storage::Schema& input, ExecutionContext* ctx) override;
   std::unique_ptr<SinkState> MakeState() const override;
-  Status Consume(SinkState* state, const Batch& in, uint64_t morsel,
+  Status Consume(SinkState* state, const Batch& in, const SeqKey& seq,
                  ExecutionContext* ctx) const override;
   Result<storage::TablePtr> Finish(
       std::vector<std::unique_ptr<SinkState>> states, TaskScheduler* scheduler,

@@ -1,6 +1,7 @@
 #include "exec/pipeline/pipeline.h"
 
 #include <algorithm>
+#include <mutex>
 
 #include "common/fault.h"
 #include "exec/exec_common.h"
@@ -210,6 +211,80 @@ Status ScanVertexSource::PipelineFinished(const Status& run_status,
 // RunPipeline
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// One task's unit of work: a source morsel (`parent` null, resume at op
+/// 0) or a chunk of an oversized operator output — rows [begin, begin +
+/// count) of `parent`, run from op `resume_at` on.
+struct PipelineTask {
+  SeqKey seq;
+  size_t resume_at = 0;
+  std::shared_ptr<const Batch> parent;
+  uint64_t begin = 0;
+  uint64_t count = 0;
+};
+
+/// The work of one pipeline run: a LIFO of pending chunks over the source
+/// morsel space. Each scheduler task claims exactly one unit — the newest
+/// pending chunk, else the next source morsel — so a worker finishing a
+/// chunk continues with its siblings' descendants first (depth-first),
+/// and pending chunks never hold more than a few expansion levels.
+class TaskQueue {
+ public:
+  PipelineTask Claim() {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (pending_.empty()) {
+      PipelineTask task;
+      task.seq.push_back(next_morsel_++);
+      return task;
+    }
+    PipelineTask task = std::move(pending_.back());
+    pending_.pop_back();
+    return task;
+  }
+
+  /// Queues chunks 1..n-1 of `parent` (chunk 0 stays with the caller),
+  /// chunk 1 on top.
+  void PushChunks(const SeqKey& seq, size_t resume_at,
+                  const std::shared_ptr<const Batch>& parent,
+                  uint64_t chunks) {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (uint64_t c = chunks - 1; c >= 1; --c) {
+      PipelineTask task;
+      task.seq = seq;
+      task.seq.push_back(c);
+      task.resume_at = resume_at;
+      task.parent = parent;
+      task.begin = c * kBatchRows;
+      task.count = std::min(kBatchRows, parent->num_rows() - task.begin);
+      pending_.push_back(std::move(task));
+    }
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<PipelineTask> pending_;  // guarded by mu_
+  uint64_t next_morsel_ = 0;           // guarded by mu_
+};
+
+/// Completion of one source morsel: its tasks still running or pending
+/// (the morsel's own plus every chunk split off below it) and the rows
+/// they handed to the sink.
+struct MorselProgress {
+  std::atomic<uint64_t> open{1};
+  std::atomic<uint64_t> rows{0};
+};
+
+void RecordStage(OperatorProfile* slot, uint64_t rows_in, uint64_t rows_out,
+                 double ms) {
+  slot->wall_ms += ms;
+  slot->rows_in += rows_in;
+  slot->rows_out += rows_out;
+  slot->invocations += 1;
+}
+
+}  // namespace
+
 Result<storage::TablePtr> RunPipeline(Pipeline* pipeline, Sink* sink,
                                       TaskScheduler* scheduler,
                                       ExecutionContext* ctx) {
@@ -234,7 +309,9 @@ Result<storage::TablePtr> RunPipeline(Pipeline* pipeline, Sink* sink,
                 {"ops", std::to_string(pipeline->ops.size())}});
   }
 
-  uint64_t total_rows = pipeline->source->num_rows();
+  const Source& source = *pipeline->source;
+  const std::vector<StreamingOpPtr>& ops = pipeline->ops;
+  uint64_t total_rows = source.num_rows();
   uint64_t morsels = (total_rows + kBatchRows - 1) / kBatchRows;
 
   // The query's fan-out width on the shared pool: slot ids (sink states,
@@ -246,104 +323,110 @@ Result<storage::TablePtr> RunPipeline(Pipeline* pipeline, Sink* sink,
     states.push_back(sink->MakeState());
   }
 
-  // The default morsel body: no profiling branches on the hot path. Every
-  // non-error exit reports the morsel as finished (with its contributed
-  // rows) so LIMIT early-exit can track its contiguous completed prefix.
-  auto run_morsel = [&](int worker_id, uint64_t morsel) -> Status {
-    // One interrupt check per morsel (kBatchRows rows) — the pipeline
-    // half of the kInterruptCheckMask latency contract — plus the
-    // morsel-boundary fault site.
-    RELGO_RETURN_NOT_OK(ctx->CheckInterrupt());
-    RELGO_RETURN_NOT_OK(fault::MaybeInject(fault::Site::kMorselBoundary));
-    if (sink->Saturated()) {  // LIMIT early-exit
-      sink->MorselFinished(morsel, 0);
-      return Status::OK();
-    }
-    uint64_t begin = morsel * kBatchRows;
-    uint64_t count = std::min(kBatchRows, total_rows - begin);
-    Batch batch;
-    RELGO_RETURN_NOT_OK(pipeline->source->Emit(begin, count, &batch, ctx));
-    for (const auto& op : pipeline->ops) {
-      if (batch.num_rows() == 0) break;
-      Batch next;
-      RELGO_RETURN_NOT_OK(op->Process(batch, &next, ctx));
-      batch = std::move(next);
-    }
-    if (batch.num_rows() == 0) {
-      sink->MorselFinished(morsel, 0);
-      return Status::OK();
-    }
-    RELGO_RETURN_NOT_OK(
-        sink->Consume(states[worker_id].get(), batch, morsel, ctx));
-    sink->MorselFinished(morsel, batch.num_rows());
-    return Status::OK();
-  };
-
-  // Profiled morsel body: each worker accumulates rows in/out, invocation
-  // counts and stage timings into its private slot vector — no shared
-  // state, so profiling never serializes workers. Slot 0 is the source,
-  // slots 1..N the streaming ops, slot N+1 the sink's Consume side.
+  // Profiling: each worker accumulates rows in/out, invocations and stage
+  // timings into its private slot vector — no shared state, so profiling
+  // never serializes workers. Slot 0 is the source, slots 1..N the
+  // streaming ops, slot N+1 the sink's Consume side.
   std::vector<std::vector<OperatorProfile>> worker_profs;
   if (qp != nullptr) {
-    worker_profs.assign(
-        static_cast<size_t>(max_workers),
-        std::vector<OperatorProfile>(pipeline->ops.size() + 2));
+    worker_profs.assign(static_cast<size_t>(max_workers),
+                        std::vector<OperatorProfile>(ops.size() + 2));
   }
-  auto run_morsel_profiled = [&](int worker_id, uint64_t morsel) -> Status {
+
+  TaskQueue queue;
+  std::vector<MorselProgress> progress(static_cast<size_t>(morsels));
+  std::atomic<uint64_t> chunks{0};
+
+  // Reports a finished task's rows; the morsel's last task reports the
+  // morsel (LIMIT early-exit tracks its contiguous completed prefix).
+  auto finish_task = [&](uint64_t morsel, uint64_t rows) {
+    MorselProgress& p = progress[morsel];
+    if (rows != 0) p.rows.fetch_add(rows, std::memory_order_relaxed);
+    if (p.open.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      sink->MorselFinished(morsel, p.rows.load(std::memory_order_relaxed));
+    }
+  };
+
+  // The morsel body. Any operator output over kBatchRows rows is cut into
+  // kBatchRows chunks: this worker carries chunk 0 on down the chain, the
+  // rest become tasks of the running job (sliced from the shared parent
+  // only when claimed, so the parent dies with its last chunk). Every
+  // non-error exit finishes the task, so the morsel's completion stays
+  // exact.
+  auto run_task = [&](int slot,
+                      const TaskScheduler::Spawner& spawner) -> Status {
+    // Every task — source morsel or chunk — is a morsel boundary: one
+    // interrupt check per at most kBatchRows input rows (the pipeline half
+    // of the kInterruptCheckMask latency contract) plus the fault site.
     RELGO_RETURN_NOT_OK(ctx->CheckInterrupt());
     RELGO_RETURN_NOT_OK(fault::MaybeInject(fault::Site::kMorselBoundary));
-    if (sink->Saturated()) {
-      sink->MorselFinished(morsel, 0);
+    PipelineTask task = queue.Claim();
+    uint64_t morsel = task.seq[0];
+    if (sink->Saturated()) {  // LIMIT early-exit
+      finish_task(morsel, 0);
       return Status::OK();
     }
-    uint64_t begin = morsel * kBatchRows;
-    uint64_t count = std::min(kBatchRows, total_rows - begin);
-    std::vector<OperatorProfile>& slots = worker_profs[worker_id];
-    Batch batch;
+    OperatorProfile* prof = qp != nullptr ? worker_profs[slot].data() : nullptr;
     Timer timer;
-    RELGO_RETURN_NOT_OK(pipeline->source->Emit(begin, count, &batch, ctx));
-    slots[0].wall_ms += timer.ElapsedMillis();
-    slots[0].rows_in += count;
-    slots[0].rows_out += batch.num_rows();
-    slots[0].invocations += 1;
-    for (size_t i = 0; i < pipeline->ops.size(); ++i) {
+    Batch batch;
+    if (task.parent == nullptr) {
+      uint64_t begin = morsel * kBatchRows;
+      uint64_t count = std::min(kBatchRows, total_rows - begin);
+      RELGO_RETURN_NOT_OK(source.Emit(begin, count, &batch, ctx));
+      if (prof != nullptr) {
+        RecordStage(&prof[0], count, batch.num_rows(), timer.ElapsedMillis());
+      }
+    } else {
+      batch = task.parent->Slice(task.begin, task.count);
+      task.parent.reset();
+    }
+    for (size_t i = task.resume_at; i < ops.size(); ++i) {
       if (batch.num_rows() == 0) break;
       Batch next;
-      timer.Restart();
-      RELGO_RETURN_NOT_OK(pipeline->ops[i]->Process(batch, &next, ctx));
-      OperatorProfile& slot = slots[i + 1];
-      slot.wall_ms += timer.ElapsedMillis();
-      slot.rows_in += batch.num_rows();
-      slot.rows_out += next.num_rows();
-      slot.invocations += 1;
-      batch = std::move(next);
+      if (prof != nullptr) timer.Restart();
+      RELGO_RETURN_NOT_OK(ops[i]->Process(batch, &next, ctx));
+      if (prof != nullptr) {
+        RecordStage(&prof[i + 1], batch.num_rows(), next.num_rows(),
+                    timer.ElapsedMillis());
+      }
+      uint64_t n = next.num_rows();
+      if (n <= kBatchRows) {
+        batch = std::move(next);
+        continue;
+      }
+      uint64_t split = (n + kBatchRows - 1) / kBatchRows;
+      auto parent = std::make_shared<const Batch>(std::move(next));
+      // Count the chunks as open before any can be claimed (and finish).
+      progress[morsel].open.fetch_add(split - 1, std::memory_order_relaxed);
+      chunks.fetch_add(split - 1, std::memory_order_relaxed);
+      queue.PushChunks(task.seq, i + 1, parent, split);
+      spawner.Spawn(split - 1);
+      batch = parent->Slice(0, kBatchRows);
+      task.seq.push_back(0);
     }
-    if (batch.num_rows() == 0) {
-      sink->MorselFinished(morsel, 0);
-      return Status::OK();
+    uint64_t rows = batch.num_rows();
+    if (rows != 0) {
+      if (prof != nullptr) timer.Restart();
+      RELGO_RETURN_NOT_OK(
+          sink->Consume(states[slot].get(), batch, task.seq, ctx));
+      if (prof != nullptr) {
+        RecordStage(&prof[ops.size() + 1], rows, 0, timer.ElapsedMillis());
+      }
     }
-    OperatorProfile& sink_slot = slots[pipeline->ops.size() + 1];
-    timer.Restart();
-    Status consumed =
-        sink->Consume(states[worker_id].get(), batch, morsel, ctx);
-    sink_slot.wall_ms += timer.ElapsedMillis();
-    sink_slot.rows_in += batch.num_rows();
-    sink_slot.invocations += 1;
-    if (consumed.ok()) sink->MorselFinished(morsel, batch.num_rows());
-    return consumed;
+    finish_task(morsel, rows);
+    return Status::OK();
   };
 
   int run_workers = 1;
   double run_start = tr != nullptr ? obs::TraceNowMs() : 0.0;
   Status run_status =
-      qp == nullptr
-          ? scheduler->Run(morsels, max_workers, run_morsel, &run_workers)
-          : scheduler->Run(morsels, max_workers, run_morsel_profiled,
-                           &run_workers);
+      scheduler->RunTasks(morsels, max_workers, run_task, &run_workers);
+  uint64_t chunk_count = chunks.load(std::memory_order_relaxed);
   if (tr != nullptr) {
     tr->Record("pipeline_run", "pipeline", run_start,
                {{"sink", sink->label()},
                 {"morsels", std::to_string(morsels)},
+                {"chunks", std::to_string(chunk_count)},
                 {"workers", std::to_string(run_workers)},
                 {"status", run_status.ok() ? "ok" : run_status.ToString()}});
   }
@@ -395,6 +478,7 @@ Result<storage::TablePtr> RunPipeline(Pipeline* pipeline, Sink* sink,
     trace.fused = sink->fused_node();
     trace.sink = sink->label();
     trace.morsels = morsels;
+    trace.chunks = chunk_count;
     trace.threads = run_workers;
     trace.wall_ms = pipeline_timer.ElapsedMillis();
     qp->AddPipeline(std::move(trace));

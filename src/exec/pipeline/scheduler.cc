@@ -108,39 +108,105 @@ void TaskScheduler::EnsureWorkersLocked(int wanted) {
   }
 }
 
+namespace {
+
+/// The fan-out cutoff: a job is worth the pool only with a couple of
+/// unclaimed tasks per worker — fewer buy only wakeup/context-switch churn.
+bool WorthPool(uint64_t unclaimed, int max_workers) {
+  return max_workers > 1 &&
+         unclaimed >= static_cast<uint64_t>(max_workers) * 2;
+}
+
+}  // namespace
+
 Status TaskScheduler::Run(uint64_t morsel_count, int max_workers,
                           const MorselFn& fn, int* workers_used) {
+  // Nothing spawns, so the i-th claimed task is morsel i.
+  std::atomic<uint64_t> next_morsel{0};
+  return RunTasks(
+      morsel_count, max_workers,
+      [&](int slot, const Spawner&) {
+        return fn(slot, next_morsel.fetch_add(1, std::memory_order_relaxed));
+      },
+      workers_used);
+}
+
+Status TaskScheduler::RunTasks(uint64_t initial_tasks, int max_workers,
+                               const TaskFn& fn, int* workers_used) {
   if (workers_used != nullptr) *workers_used = 1;
-  if (morsel_count == 0) return Status::OK();
-  int maxw = max_workers < 1 ? 1 : max_workers;
-  // Inline fast path: single-threaded mode, or too little work to be worth
-  // waking (or even spawning) the pool. Tiny pipelines are common — probe
-  // feeds of selective joins — and parallelizing them only buys
-  // wakeup/context-switch churn; require a couple of morsels per worker
-  // before fanning out.
-  if (maxw == 1 || morsel_count < static_cast<uint64_t>(maxw) * 2) {
-    if (metrics_.inline_jobs != nullptr) metrics_.inline_jobs->Increment();
-    if (metrics_.tasks != nullptr) metrics_.tasks->Add(morsel_count);
-    for (uint64_t m = 0; m < morsel_count; ++m) {
-      RELGO_RETURN_NOT_OK(fn(0, m));
-    }
-    return Status::OK();
-  }
-
+  if (initial_tasks == 0) return Status::OK();
   Timer run_timer;
-  if (metrics_.jobs != nullptr) metrics_.jobs->Increment();
-  if (metrics_.tasks != nullptr) metrics_.tasks->Add(morsel_count);
-
   Job job;
   job.fn = &fn;
-  job.count = morsel_count;
-  job.max_workers = maxw;
+  job.max_workers = max_workers < 1 ? 1 : max_workers;
+  job.tasks.store(initial_tasks, std::memory_order_relaxed);
+  if (WorthPool(initial_tasks, job.max_workers)) Offer(&job);
+
+  // One loop for both paths: the submitting thread runs tasks until none
+  // is claimable. A job that was never offered is then done (nobody else
+  // ran it); an offered one waits for the pool workers to drain it — or
+  // to spawn more tasks, which the owner then helps with.
+  double wait_ms = 0.0;
+  while (true) {
+    WorkLoop(&job, 0);  // the submitting thread is the job's slot 0
+    if (!job.offered) break;
+    Timer wait_timer;
+    std::unique_lock<std::mutex> lock(mu_);
+    --job.executing;
+    // Drained: no registered worker is still inside WorkLoop — fn and the
+    // job handle live on this stack — and every task ran or the job
+    // failed. Workers register under mu_ before executing, so this cannot
+    // miss a late joiner; once the job leaves jobs_ below, no worker can
+    // find it again, and with nobody executing nobody can spawn.
+    auto drained = [&] {
+      return job.executing == 0 &&
+             (job.failed.load(std::memory_order_relaxed) ||
+              job.completed.load(std::memory_order_acquire) ==
+                  job.tasks.load(std::memory_order_acquire));
+    };
+    auto claimable = [&] {
+      return !job.failed.load(std::memory_order_relaxed) &&
+             job.next.load(std::memory_order_relaxed) <
+                 job.tasks.load(std::memory_order_acquire);
+    };
+    job.owner_waiting = true;
+    job.done_cv.wait(lock, [&] { return drained() || claimable(); });
+    job.owner_waiting = false;
+    wait_ms += wait_timer.ElapsedMillis();
+    if (drained()) {
+      jobs_.erase(std::find(jobs_.begin(), jobs_.end(), &job));
+      if (metrics_.queue_depth != nullptr) {
+        metrics_.queue_depth->Set(static_cast<int64_t>(jobs_.size()));
+      }
+      break;
+    }
+    ++job.executing;
+  }
+
+  if (metrics_.tasks != nullptr) {
+    metrics_.tasks->Add(job.completed.load(std::memory_order_relaxed));
+  }
+  if (!job.offered) {
+    if (metrics_.inline_jobs != nullptr) metrics_.inline_jobs->Increment();
+    return job.error;
+  }
+  if (workers_used != nullptr) *workers_used = job.max_workers;
+  if (metrics_.job_wait_ms != nullptr) metrics_.job_wait_ms->Record(wait_ms);
+  if (metrics_.job_run_ms != nullptr) {
+    metrics_.job_run_ms->Record(run_timer.ElapsedMillis());
+  }
+  return job.error;
+}
+
+void TaskScheduler::Offer(Job* job) {
   {
     std::lock_guard<std::mutex> lock(mu_);
+    job->offered = true;
     // The pool grows to the largest fan-out any query requested; the
-    // submitting thread takes slot 0, so maxw - 1 pool threads suffice.
-    EnsureWorkersLocked(maxw - 1);
-    jobs_.push_back(&job);
+    // submitting thread takes slot 0, so max_workers - 1 pool threads
+    // suffice.
+    EnsureWorkersLocked(job->max_workers - 1);
+    jobs_.push_back(job);
     if (metrics_.queue_depth != nullptr) {
       metrics_.queue_depth->Set(static_cast<int64_t>(jobs_.size()));
     }
@@ -148,36 +214,39 @@ Status TaskScheduler::Run(uint64_t morsel_count, int max_workers,
       metrics_.pool_threads->Set(static_cast<int64_t>(workers_.size()));
     }
   }
+  if (metrics_.jobs != nullptr) metrics_.jobs->Increment();
   work_cv_.notify_all();
-  if (workers_used != nullptr) *workers_used = maxw;
+}
 
-  WorkLoop(&job, 0);  // the submitting thread is the job's slot 0
+void TaskScheduler::AddTasks(Job* job, uint64_t n) {
+  uint64_t total = job->tasks.fetch_add(n, std::memory_order_acq_rel) + n;
+  if (!job->offered) {
+    // Only the owner runs a job that was never offered, so only it gets
+    // here and reads `offered` without the lock.
+    if (WorthPool(total - job->next.load(std::memory_order_relaxed),
+                  job->max_workers)) {
+      Offer(job);
+    }
+    return;
+  }
+  // Pool workers that found the job dry have left it; call them back, and
+  // the owner if it is blocked waiting for the job to drain.
+  std::lock_guard<std::mutex> lock(mu_);
+  if (job->owner_waiting) job->done_cv.notify_all();
+  if (!job->free_slots.empty() || job->slots < job->max_workers) {
+    work_cv_.notify_all();
+  }
+}
 
-  Timer wait_timer;
-  std::unique_lock<std::mutex> lock(mu_);
-  --job.executing;
-  // Wait until the job is complete (every morsel executed) or failed AND
-  // no registered worker is still inside WorkLoop — fn and the job handle
-  // live on this stack. Workers register under mu_ before executing, so
-  // this predicate cannot miss a late joiner; once the job leaves jobs_
-  // below, no worker can find it again.
-  job.done_cv.wait(lock, [&] {
-    return job.executing == 0 &&
-           (job.failed.load(std::memory_order_relaxed) ||
-            job.completed.load(std::memory_order_acquire) == job.count);
-  });
-  jobs_.erase(std::find(jobs_.begin(), jobs_.end(), &job));
-  if (metrics_.queue_depth != nullptr) {
-    metrics_.queue_depth->Set(static_cast<int64_t>(jobs_.size()));
+bool TaskScheduler::TryClaim(Job* job) {
+  uint64_t n = job->next.load(std::memory_order_relaxed);
+  while (n < job->tasks.load(std::memory_order_acquire)) {
+    if (job->next.compare_exchange_weak(n, n + 1,
+                                        std::memory_order_relaxed)) {
+      return true;
+    }
   }
-  lock.unlock();
-  if (metrics_.job_wait_ms != nullptr) {
-    metrics_.job_wait_ms->Record(wait_timer.ElapsedMillis());
-  }
-  if (metrics_.job_run_ms != nullptr) {
-    metrics_.job_run_ms->Record(run_timer.ElapsedMillis());
-  }
-  return job.error;
+  return false;
 }
 
 TaskScheduler::Job* TaskScheduler::ClaimJobLocked(int* slot) {
@@ -187,9 +256,18 @@ TaskScheduler::Job* TaskScheduler::ClaimJobLocked(int* slot) {
     // instead of convoying onto the oldest one.
     Job* job = jobs_[(job_rotor_ + i) % n];
     if (job->failed.load(std::memory_order_relaxed)) continue;
-    if (job->next.load(std::memory_order_relaxed) >= job->count) continue;
-    if (job->slots >= job->max_workers) continue;
-    *slot = job->slots++;
+    if (job->next.load(std::memory_order_relaxed) >=
+        job->tasks.load(std::memory_order_acquire)) {
+      continue;
+    }
+    if (!job->free_slots.empty()) {
+      *slot = job->free_slots.back();
+      job->free_slots.pop_back();
+    } else if (job->slots < job->max_workers) {
+      *slot = job->slots++;
+    } else {
+      continue;
+    }
     ++job->executing;
     ++job_rotor_;
     return job;
@@ -209,15 +287,17 @@ void TaskScheduler::WorkerMain() {
     lock.unlock();
     WorkLoop(job, slot);
     lock.lock();
+    // The slot's per-job state (sink partial, profile slot) passes to
+    // whichever worker rejoins next, ordered by this mutex.
+    job->free_slots.push_back(slot);
     if (--job->executing == 0) job->done_cv.notify_all();
   }
 }
 
 void TaskScheduler::WorkLoop(Job* job, int slot) {
-  while (!job->failed.load(std::memory_order_relaxed)) {
-    uint64_t m = job->next.fetch_add(1, std::memory_order_relaxed);
-    if (m >= job->count) return;
-    Status st = (*job->fn)(slot, m);
+  Spawner spawner(this, job);
+  while (!job->failed.load(std::memory_order_relaxed) && TryClaim(job)) {
+    Status st = (*job->fn)(slot, spawner);
     if (!st.ok()) {
       std::lock_guard<std::mutex> lock(mu_);
       // Keep the first error only; later ones are usually cascades.

@@ -162,8 +162,10 @@ std::string RenderAnalyzedPipelines(const plan::PhysicalOp& root,
       continue;
     }
     std::snprintf(buf, sizeof(buf),
-                  "PIPELINE #%d (morsels=%llu, threads=%d, %.2f ms) -> %s",
+                  "PIPELINE #%d (morsels=%llu chunks=%llu threads=%d, "
+                  "%.2f ms) -> %s",
                   index++, static_cast<unsigned long long>(trace.morsels),
+                  static_cast<unsigned long long>(trace.chunks),
                   trace.threads, trace.wall_ms, trace.sink.c_str());
     out += buf;
     out += "\n";

@@ -21,10 +21,11 @@ namespace exec {
 ///  * the materializing interpreter records one invocation per operator;
 ///    wall_ms is the operator's *subtree* wall time (children execute
 ///    inside the timed region — the engine is operator-at-a-time);
-///  * the pipeline engine accumulates per-morsel counters in thread-local
+///  * the pipeline engine accumulates per-batch counters in thread-local
 ///    slots and merges them here once the pipeline drains: invocations =
-///    morsels processed, wall_ms = this operator's cumulative Process
-///    time summed over workers (self time, children excluded).
+///    batches processed (source morsels plus chunks), wall_ms = this
+///    operator's cumulative Process time summed over workers (self time,
+///    children excluded).
 ///
 /// rows_out — the actual output cardinality — is engine-invariant (the
 /// engines are bag-equivalent) and is what Q-error compares against.
@@ -34,7 +35,7 @@ namespace exec {
 struct OperatorProfile {
   uint64_t rows_in = 0;       ///< input tuples consumed (see note above)
   uint64_t rows_out = 0;      ///< output tuples produced (actual cardinality)
-  uint64_t invocations = 0;   ///< calls: 1 (materialize) / morsels (pipeline)
+  uint64_t invocations = 0;   ///< calls: 1 (materialize) / batches (pipeline)
   double wall_ms = 0.0;       ///< operator time (see engine semantics above)
 
   void Accumulate(const OperatorProfile& other) {
@@ -57,8 +58,11 @@ struct PipelineTrace {
   /// (the ORDER BY under a TOP_K sink's LIMIT); null otherwise.
   const plan::PhysicalOp* fused = nullptr;
   std::string sink;  ///< sink label, e.g. "MATERIALIZE"
-  uint64_t morsels = 0;
-  int threads = 1;
+  uint64_t morsels = 0;  ///< source morsels
+  /// Tasks split off oversized operator outputs (kBatchRows-row chunks
+  /// beyond each split's first, which its worker carries on itself).
+  uint64_t chunks = 0;
+  int threads = 1;  ///< fan-out width: max_workers once offered to the pool
   double wall_ms = 0.0;  ///< pipeline wall time (prepare -> sink finish)
 };
 

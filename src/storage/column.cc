@@ -163,10 +163,11 @@ void Column::AppendRange(const Column& other, uint64_t begin,
   AdoptDictionary(other);
   uint64_t end = begin + count;
   // Validity: materialize our vector first if the incoming range carries
-  // nulls and we were in the allocation-free all-valid state.
+  // nulls and we were in the allocation-free all-valid state (which an
+  // empty column also is, so the test cannot be validity_.empty()).
   bool other_has_nulls = !other.validity_.empty();
   if (other_has_nulls && validity_.empty()) validity_.assign(size_, 1);
-  if (!validity_.empty()) {
+  if (other_has_nulls || !validity_.empty()) {
     if (other_has_nulls) {
       validity_.insert(validity_.end(), other.validity_.begin() + begin,
                        other.validity_.begin() + end);

@@ -568,14 +568,16 @@ TEST(DictionaryKeyEncoderTest, MixedDictAndPayloadBatchesStayConsistent) {
 // JoinHashTable string keys
 // ---------------------------------------------------------------------------
 
-/// Nested-loop reference with the table's null convention: string nulls
-/// carry the "" payload placeholder, and the hash table hashes/compares
-/// exactly those payload bytes (mirroring int64's null => 0).
+/// Nested-loop reference with SQL null semantics: a NULL key (whose
+/// payload slot holds the "" placeholder) matches nothing, not even a
+/// NULL or a real "".
 std::vector<std::pair<uint64_t, uint64_t>> ReferenceJoin(
     const Table& probe, size_t pk, const Table& build, size_t bk) {
   std::vector<std::pair<uint64_t, uint64_t>> out;
   for (uint64_t p = 0; p < probe.num_rows(); ++p) {
+    if (!probe.column(pk).is_valid(p)) continue;
     for (uint64_t b = 0; b < build.num_rows(); ++b) {
+      if (!build.column(bk).is_valid(b)) continue;
       if (probe.column(pk).string_at(p) == build.column(bk).string_at(b)) {
         out.emplace_back(p, b);
       }

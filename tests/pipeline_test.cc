@@ -48,6 +48,22 @@ TEST(ColumnSliceTest, AppendRangePreservesNulls) {
   EXPECT_EQ(out.string_at(3), "c");
 }
 
+TEST(ColumnSliceTest, SliceIntoEmptyColumnKeepsNulls) {
+  // Slicing builds a fresh column; the range's NULLs must survive even
+  // though the target starts in the all-valid (empty validity) state.
+  Column col(LogicalType::kInt64);
+  col.AppendNull();
+  col.AppendInt(0);
+  Column slice = col.Slice(0, 2);
+  ASSERT_EQ(slice.size(), 2u);
+  EXPECT_FALSE(slice.is_valid(0));
+  EXPECT_TRUE(slice.is_valid(1));
+  Batch batch;
+  batch.AddOwned(std::move(col));
+  batch.SetNumRows(2);
+  EXPECT_FALSE(batch.Slice(0, 1).column(0).is_valid(0));
+}
+
 TEST(BatchTest, SliceTableWholeRangeIsZeroCopy) {
   auto table = std::make_shared<storage::Table>(
       "t", storage::Schema({{"x", LogicalType::kInt64}}));
@@ -476,6 +492,76 @@ TEST_F(PipelineEngineTest, DatabaseExecuteDispatchesOnEngineKind) {
   ASSERT_TRUE(piped.ok()) << piped.status().ToString();
   EXPECT_EQ(testing::SortedRows(*piped->table),
             testing::SortedRows(*oracle->table));
+}
+
+TEST(NullJoinKeyTest, NullKeysNeverMatchInEitherEngine) {
+  // SQL semantics in both engines: a NULL key matches nothing — not
+  // another NULL, and not the 0 / "" its payload slot holds.
+  Database db;
+  storage::Schema schema({{"id", LogicalType::kInt64},
+                          {"k", LogicalType::kInt64},
+                          {"s", LogicalType::kString}});
+  auto left = db.CreateTable("L", schema);
+  auto right = db.CreateTable("R", schema);
+  ASSERT_TRUE(left.ok() && right.ok());
+  Value null = Value::Null();
+  std::vector<std::vector<Value>> left_rows = {
+      {Value::Int(1), null, null},
+      {Value::Int(2), Value::Int(0), Value::String("")},
+      {Value::Int(3), Value::Int(5), Value::String("x")},
+      {Value::Int(4), null, Value::String("x")},
+      {Value::Int(5), Value::Int(0), null}};
+  std::vector<std::vector<Value>> right_rows = {
+      {Value::Int(10), null, null},
+      {Value::Int(11), Value::Int(0), Value::String("")},
+      {Value::Int(12), Value::Int(5), Value::String("x")},
+      {Value::Int(13), Value::Int(0), Value::String("")},
+      {Value::Int(14), null, Value::String("")}};
+  for (const auto& row : left_rows) ASSERT_TRUE((*left)->AppendRow(row).ok());
+  for (const auto& row : right_rows) {
+    ASSERT_TRUE((*right)->AppendRow(row).ok());
+  }
+  ASSERT_TRUE(db.Finalize().ok());  // string keys join by dictionary code
+
+  struct Case {
+    std::vector<std::string> left_keys, right_keys;
+    uint64_t rows;
+  };
+  const Case cases[] = {
+      {{"l.k"}, {"r.k"}, 5},                // 0 x {11, 13} twice, 5 x 12
+      {{"l.s"}, {"r.s"}, 5},                // "" x {11, 13, 14}, "x" x 12 twice
+      {{"l.k", "l.s"}, {"r.k", "r.s"}, 3},  // (0,"") x {11, 13}, (5,"x") x 12
+  };
+  for (const Case& c : cases) {
+    auto scan_l = std::make_unique<plan::PhysScanTable>();
+    scan_l->table = "L";
+    scan_l->alias = "l";
+    auto scan_r = std::make_unique<plan::PhysScanTable>();
+    scan_r->table = "R";
+    scan_r->alias = "r";
+    plan::PhysHashJoin join;
+    join.left_keys = c.left_keys;
+    join.right_keys = c.right_keys;
+    join.children.push_back(std::move(scan_l));
+    join.children.push_back(std::move(scan_r));
+
+    ExecutionContext oracle_ctx(&db.catalog(), &db.mapping(), &db.index());
+    auto expected = Executor::Run(join, &oracle_ctx);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    EXPECT_EQ((*expected)->num_rows(), c.rows) << c.left_keys[0];
+    for (int threads : {1, 2}) {
+      ExecutionOptions options;
+      options.engine = exec::EngineKind::kPipeline;
+      options.num_threads = threads;
+      ExecutionContext ctx(&db.catalog(), &db.mapping(), &db.index(),
+                           options);
+      auto actual = exec::pipeline::Run(join, &ctx);
+      ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+      EXPECT_EQ(testing::SortedRows(**actual),
+                testing::SortedRows(**expected))
+          << c.left_keys[0] << " threads=" << threads;
+    }
+  }
 }
 
 }  // namespace
