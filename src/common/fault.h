@@ -37,7 +37,7 @@ enum class Site : int {
   kHashBuild,           ///< join hash-table build (both engines)
   kHashFinalize,        ///< partitioned hash-table finalize (pipeline)
   kSinkFinish,          ///< breaker sink finish (merge/sort/build)
-  kScanCachePublish,    ///< scan-cache selection/bitmap publication
+  kScanCachePublish,    ///< scan-cache filter-bitmap publication
 };
 inline constexpr int kNumSites = 5;
 

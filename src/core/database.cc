@@ -386,15 +386,16 @@ const char* PlanCacheStatusName(exec::QueryProfile::PlanCacheStatus s) {
 
 }  // namespace
 
-Result<QueryRunResult> Database::Run(const plan::SpjmQuery& query,
-                                     optimizer::OptimizerMode mode,
-                                     exec::ExecutionOptions options) const {
+Result<Database::ExecutedQuery> Database::RunQuery(
+    const plan::SpjmQuery& query, optimizer::OptimizerMode mode,
+    const exec::ExecutionOptions& options,
+    exec::QueryProfile* profile) const {
   uint64_t query_id = trace_sink_.NextQueryId();
   std::string label = TraceLabel(query, mode);
   TraceScope trace(&trace_sink_, options.trace || trace_sink_.enabled(),
                    label, query_id);
-  QueryObservation obs;
-  QueryRunResult result;
+  ExecutedQuery run;
+  QueryObservation& obs = run.obs;
 
   double opt_start = trace.recorder() != nullptr ? obs::TraceNowMs() : 0.0;
   auto planned = PlanQuery(query, mode, options);
@@ -411,17 +412,21 @@ Result<QueryRunResult> Database::Run(const plan::SpjmQuery& query,
     ObserveQuery(query, mode, options, obs);
     return planned.status();
   }
-  obs.optimization_ms = result.optimization_ms = planned->optimization_ms;
-  result.plan_cache = planned->cache_status;
+  run.planned = std::move(planned).value();
+  obs.optimization_ms = run.planned.optimization_ms;
 
   exec::ExecutionContext ctx(&catalog_, &mapping_, &index_, options);
   ctx.SetQueryId(query_id);
+  if (profile != nullptr) {
+    profile->SetPlanCacheStatus(run.planned.cache_status);
+    ctx.EnableProfiling(profile);
+  }
   ctx.SetTrace(trace.recorder());
   double exec_start = trace.recorder() != nullptr ? obs::TraceNowMs() : 0.0;
   Timer timer;
-  auto table = ExecuteWithContext(*planned->plan, &ctx, label);
-  obs.execution_ms = result.execution_ms = timer.ElapsedMillis();
-  obs.scan_cache_hits = result.scan_cache_hits = ctx.scan_cache_hits();
+  auto table = ExecuteWithContext(*run.planned.plan, &ctx, label);
+  obs.execution_ms = timer.ElapsedMillis();
+  obs.scan_cache_hits = ctx.scan_cache_hits();
   if (table.ok()) obs.rows = (*table)->num_rows();
   if (trace.recorder() != nullptr) {
     trace.recorder()->Record(
@@ -429,7 +434,7 @@ Result<QueryRunResult> Database::Run(const plan::SpjmQuery& query,
         {{"engine", options.engine == exec::EngineKind::kPipeline
                         ? "pipeline"
                         : "materialize"},
-         {"scan_cache_hits", std::to_string(ctx.scan_cache_hits())},
+         {"scan_cache_hits", std::to_string(obs.scan_cache_hits)},
          {"rows", std::to_string(obs.rows)},
          {"status", table.ok() ? "ok" : table.status().ToString()}});
   }
@@ -438,13 +443,28 @@ Result<QueryRunResult> Database::Run(const plan::SpjmQuery& query,
     ObserveQuery(query, mode, options, obs);
     return table.status();
   }
+  if (profile != nullptr) profile->SetScanCacheHits(obs.scan_cache_hits);
+  run.table = std::move(table).value();
+  return run;
+}
+
+Result<QueryRunResult> Database::Run(const plan::SpjmQuery& query,
+                                     optimizer::OptimizerMode mode,
+                                     exec::ExecutionOptions options) const {
+  RELGO_ASSIGN_OR_RETURN(ExecutedQuery run,
+                         RunQuery(query, mode, options, nullptr));
   // Publish only now — after the plan executed to completion — so a
   // cancelled, timed-out, or faulted query never seeds the plan cache
   // (the scan cache's commit-on-success chokepoint, applied to plans).
-  PublishPlan(*planned, std::shared_ptr<const plan::PhysicalOp>(
-                            std::move(planned->plan)));
-  ObserveQuery(query, mode, options, obs);
-  result.table = std::move(table).value();
+  PublishPlan(run.planned, std::shared_ptr<const plan::PhysicalOp>(
+                               std::move(run.planned.plan)));
+  ObserveQuery(query, mode, options, run.obs);
+  QueryRunResult result;
+  result.table = std::move(run.table);
+  result.optimization_ms = run.obs.optimization_ms;
+  result.execution_ms = run.obs.execution_ms;
+  result.scan_cache_hits = run.obs.scan_cache_hits;
+  result.plan_cache = run.planned.cache_status;
   return result;
 }
 
@@ -457,64 +477,19 @@ Result<std::string> Database::Explain(const plan::SpjmQuery& query,
 Result<ProfiledRunResult> Database::RunProfiled(
     const plan::SpjmQuery& query, optimizer::OptimizerMode mode,
     exec::ExecutionOptions options) const {
-  uint64_t query_id = trace_sink_.NextQueryId();
-  std::string label = TraceLabel(query, mode);
-  TraceScope trace(&trace_sink_, options.trace || trace_sink_.enabled(),
-                   label, query_id);
-  QueryObservation obs;
   ProfiledRunResult result;
-
-  double opt_start = trace.recorder() != nullptr ? obs::TraceNowMs() : 0.0;
-  auto planned = PlanQuery(query, mode, options);
-  if (trace.recorder() != nullptr) {
-    trace.recorder()->Record(
-        "optimize", "query", opt_start,
-        {{"mode", optimizer::ModeName(mode)},
-         {"plan_cache",
-          planned.ok() ? PlanCacheStatusName(planned->cache_status) : "off"},
-         {"status", planned.ok() ? "ok" : planned.status().ToString()}});
-  }
-  if (!planned.ok()) {
-    obs.status = planned.status();
-    ObserveQuery(query, mode, options, obs);
-    return planned.status();
-  }
-  obs.optimization_ms = result.optimization_ms = planned->optimization_ms;
-  result.plan = std::move(planned->plan);
-  result.profile.SetPlanCacheStatus(planned->cache_status);
-
-  exec::ExecutionContext ctx(&catalog_, &mapping_, &index_, options);
-  ctx.SetQueryId(query_id);
-  ctx.EnableProfiling(&result.profile);
-  ctx.SetTrace(trace.recorder());
-  double exec_start = trace.recorder() != nullptr ? obs::TraceNowMs() : 0.0;
-  Timer timer;
-  auto table = ExecuteWithContext(*result.plan, &ctx, label);
-  obs.execution_ms = result.execution_ms = timer.ElapsedMillis();
-  obs.scan_cache_hits = ctx.scan_cache_hits();
-  if (table.ok()) obs.rows = (*table)->num_rows();
-  if (trace.recorder() != nullptr) {
-    trace.recorder()->Record(
-        "execute", "query", exec_start,
-        {{"engine", options.engine == exec::EngineKind::kPipeline
-                        ? "pipeline"
-                        : "materialize"},
-         {"scan_cache_hits", std::to_string(ctx.scan_cache_hits())},
-         {"rows", std::to_string(obs.rows)},
-         {"status", table.ok() ? "ok" : table.status().ToString()}});
-  }
-  if (!table.ok()) {
-    obs.status = table.status();
-    ObserveQuery(query, mode, options, obs);
-    return table.status();
-  }
-  result.table = std::move(table).value();
-  result.profile.SetScanCacheHits(ctx.scan_cache_hits());
+  RELGO_ASSIGN_OR_RETURN(ExecutedQuery run,
+                         RunQuery(query, mode, options, &result.profile));
+  result.table = std::move(run.table);
+  result.plan = std::move(run.planned.plan);
+  result.optimization_ms = run.obs.optimization_ms;
+  result.execution_ms = run.obs.execution_ms;
   // Publish after successful execution. The caller keeps result.plan, so
   // the cache stores its own deep copy (cloned only on an actual miss).
-  if (planned->cache_status == exec::QueryProfile::PlanCacheStatus::kMiss) {
-    PublishPlan(*planned, std::shared_ptr<const plan::PhysicalOp>(
-                              plan::ClonePlan(*result.plan)));
+  if (run.planned.cache_status ==
+      exec::QueryProfile::PlanCacheStatus::kMiss) {
+    PublishPlan(run.planned, std::shared_ptr<const plan::PhysicalOp>(
+                                 plan::ClonePlan(*result.plan)));
   }
   if (options.adaptive_stats) {
     // The adaptive loop: hand the profile's per-operator actuals back to
@@ -546,7 +521,7 @@ Result<ProfiledRunResult> Database::RunProfiled(
           static_cast<uint64_t>(refined));
     }
   }
-  ObserveQuery(query, mode, options, obs);
+  ObserveQuery(query, mode, options, run.obs);
   return result;
 }
 

@@ -342,6 +342,25 @@ class Database {
   void PublishPlan(const PlannedQuery& planned,
                    std::shared_ptr<const plan::PhysicalOp> plan) const;
 
+  /// A query that ran to completion, handed back by RunQuery for the
+  /// entry point's success-only steps (plan publication, feedback,
+  /// ObserveQuery).
+  struct ExecutedQuery {
+    PlannedQuery planned;
+    storage::TablePtr table;
+    QueryObservation obs;
+  };
+
+  /// The one query path of Run/RunProfiled: mints the query id, traces,
+  /// plans (PlanQuery), executes (ExecuteWithContext) — profiled into
+  /// `profile` when non-null — and records the optimize/execute spans. A
+  /// failure is observed here and returned; on success the caller
+  /// publishes the plan and calls ObserveQuery with `obs`.
+  Result<ExecutedQuery> RunQuery(const plan::SpjmQuery& query,
+                                 optimizer::OptimizerMode mode,
+                                 const exec::ExecutionOptions& options,
+                                 exec::QueryProfile* profile) const;
+
   /// Sum of all base tables' version counters: the data component of
   /// plan-cache validation. Any append to any table changes it.
   uint64_t CatalogDataVersion() const;

@@ -100,16 +100,16 @@ struct ExecutionOptions {
   /// 1 = single-threaded deterministic mode (used by tests). Ignored by the
   /// materializing engine.
   int num_threads = 0;
-  /// Consult the owning Database's cross-query scan/filter cache (ROADMAP
-  /// "Shared scan caching"): the pipeline engine's filtered base-table
-  /// scans reuse selection vectors computed by earlier queries instead of
-  /// re-evaluating the predicate, invalidated by the table's version
-  /// counter. The materializing reference never reads or publishes
-  /// entries, whatever this flag says. Results are
-  /// bit-identical either way (the cache stores exactly what the filter
-  /// loop would have produced, and row-budget charges are unchanged), so
-  /// this is on by default; the off switch exists for A/B measurement and
-  /// the parity test suite.
+  /// Consult the owning Database's cross-query filter cache (ROADMAP
+  /// "Shared scan caching"): the pipeline engine's filtered scans and
+  /// expansions reuse the per-row filter bitmap an earlier query computed
+  /// for the same (table, predicate) instead of re-evaluating the
+  /// predicate, invalidated by the table's version counter. The
+  /// materializing reference never reads or publishes entries, whatever
+  /// this flag says. Results are bit-identical either way (the cache
+  /// stores exactly the bitmap the filter would have produced, and
+  /// row-budget charges are unchanged), so this is on by default; the off
+  /// switch exists for A/B measurement and the parity test suite.
   bool scan_cache = true;
   /// Consult the owning Database's cross-query plan cache (ROADMAP
   /// "Serving tier"): optimized physical plans are cached by template
@@ -274,26 +274,18 @@ class ExecutionContext {
   ///
   /// Failed (cancelled, timed-out, faulted) queries must never publish
   /// scan-cache entries, so the pipeline engine does not Put into the
-  /// cache mid-query: completed selections/bitmaps are queued here and
-  /// the Database commits the queue only after the whole query succeeded
+  /// cache mid-query: completed filter bitmaps are queued here and the
+  /// Database commits the queue only after the whole query succeeded
   /// (dropping it on any failure). Entries are complete and correct at
   /// queue time — deferral only narrows *when* they become visible to
-  /// other queries. Queue sites run on the owning thread (scan Prepare,
-  /// pipeline-finished hooks), but a small mutex keeps the queue safe if
-  /// that ever changes.
+  /// other queries. The queue site (FilterBitmap) runs in source and
+  /// operator Prepare; a small mutex keeps the queue safe should a query
+  /// ever prepare pipelines concurrently.
 
-  void QueuePutSelection(
-      std::string key, uint64_t version,
-      std::shared_ptr<const std::vector<uint64_t>> selection) {
+  void QueuePut(std::string key, uint64_t version,
+                std::shared_ptr<const std::vector<uint8_t>> bitmap) {
     std::lock_guard<std::mutex> lock(pending_puts_mu_);
-    pending_puts_.push_back(
-        {std::move(key), version, std::move(selection), nullptr});
-  }
-  void QueuePutBitmap(std::string key, uint64_t version,
-                      std::shared_ptr<const std::vector<uint8_t>> bitmap) {
-    std::lock_guard<std::mutex> lock(pending_puts_mu_);
-    pending_puts_.push_back(
-        {std::move(key), version, nullptr, std::move(bitmap)});
+    pending_puts_.push_back({std::move(key), version, std::move(bitmap)});
   }
   /// Publishes every queued entry into the attached scan cache (no-op
   /// without one). Called by the Database on query success only.
@@ -320,7 +312,6 @@ class ExecutionContext {
   struct PendingCachePut {
     std::string key;
     uint64_t version = 0;
-    std::shared_ptr<const std::vector<uint64_t>> selection;
     std::shared_ptr<const std::vector<uint8_t>> bitmap;
   };
 

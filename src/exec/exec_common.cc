@@ -15,15 +15,14 @@ Result<SharedBitmap> FilterBitmap(const storage::TablePtr& table,
   if (!filter) return SharedBitmap();
 
   // Replay an earlier query's bitmap for the same (table, predicate)
-  // signature and table version. The "bitmap|" namespace never collides
-  // with the selection-vector namespaces ("scan|", "vscan|").
+  // signature and table version, whichever operator computed it.
   ScanCache* cache = ctx->scan_cache();
   std::string key;
   uint64_t version = 0;
   if (cache != nullptr) {
-    key = ScanCache::Key("bitmap", table->name(), filter);
+    key = ScanCache::Key(table->name(), filter);
     version = table->version();
-    if (ScanCache::BitmapPtr hit = cache->GetBitmap(key, version)) {
+    if (ScanCache::BitmapPtr hit = cache->Get(key, version)) {
       ctx->CountScanCacheHit();
       return SharedBitmap(std::move(hit));
     }
@@ -58,7 +57,7 @@ Result<SharedBitmap> FilterBitmap(const storage::TablePtr& table,
     // queries only once this query commits successfully.
     RELGO_RETURN_NOT_OK(
         fault::MaybeInject(fault::Site::kScanCachePublish));
-    ctx->QueuePutBitmap(std::move(key), version, bitmap);
+    ctx->QueuePut(std::move(key), version, bitmap);
   }
   return SharedBitmap(std::move(bitmap));
 }

@@ -84,17 +84,20 @@ class SharedBitmap {
 };
 
 /// Evaluates `filter` once per row of `table` into a validity bitmap
-/// (empty when there is no filter). The pipeline engine's expansion-style
-/// operators consult the bitmap per adjacency entry, turning per-expansion
-/// expression evaluation into a single table pass computed during
-/// single-threaded operator Prepare, so workers only do bitmap loads.
+/// (empty when there is no filter). This is the pipeline engine's one
+/// filter result per (table, predicate): filtered scan sources replay
+/// its morsel ranges as their selection, and expansion-style operators
+/// consult it per adjacency entry. It is computed once, in
+/// single-threaded source/operator Prepare, so workers only do bitmap
+/// loads.
 ///
 /// Two acceleration layers, both semantics-preserving (exec_common.cc):
 /// the predicate is lowered to vectorized kernels (row-at-a-time
 /// EvaluateBool when CompiledPredicate::Compile cannot lower the tree),
 /// and the finished bitmap is published to the cross-query ScanCache
-/// ("bitmap|..." namespace) so repeated expansions replay it instead of
-/// re-evaluating. The materializing reference does not call this.
+/// under ScanCache::Key(table, filter), so any later scan or expansion
+/// with the same predicate replays it instead of re-evaluating. The
+/// materializing reference does not call this.
 Result<SharedBitmap> FilterBitmap(const storage::TablePtr& table,
                                   const storage::ExprPtr& filter,
                                   ExecutionContext* ctx);

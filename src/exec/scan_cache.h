@@ -14,40 +14,37 @@
 namespace relgo {
 namespace exec {
 
-/// Cross-query scan/filter cache (ROADMAP "Shared scan caching").
+/// Cross-query filter cache (ROADMAP "Shared scan caching").
 ///
-/// Concurrent workloads re-scan the same base tables with the same pushed
+/// Concurrent workloads filter the same base tables with the same pushed
 /// predicates over and over; the expensive part — evaluating the predicate
-/// per row — produces a selection vector that depends only on (table
-/// contents, predicate). This cache stores those selection vectors keyed
-/// by the feedback layer's scan signature namespace ("scan|<table>|<pred>",
-/// see optimizer::ScanFeedbackKey — the same string identity that already
-/// ties estimates to scans ties cached filter results to scans), so any
-/// pipeline-engine query re-running a known filtered scan skips straight
-/// to the gather; the materializing reference engine never consults it.
-/// Unfiltered scans are never cached: they have no per-row work to
-/// amortize. Expansion-style operators cache their per-base-row
-/// validity bitmaps the same way under the "bitmap|..." key namespace.
+/// per row — produces a result that depends only on (table contents,
+/// predicate). This cache stores that result as one per-row validity
+/// bitmap (1 byte per base-table row, 1 == pass) under one key per
+/// (table, predicate) — "filter|<table>|<pred>", see Key — whichever
+/// pipeline-engine operator consumes it: a relational or vertex scan
+/// replays the bitmap's morsel ranges, an expansion tests it per
+/// adjacency entry (FilterBitmap, exec_common.h). The materializing
+/// reference engine never consults it. Unfiltered scans are never
+/// cached: they have no per-row work to amortize.
 ///
-/// Correctness: a hit returns exactly the row ids (or bitmap bytes) the
-/// filter loop would have selected, in ascending order, and callers keep
-/// charging the same row budget — results and resource accounting are
-/// bit-identical with the cache on or off. Staleness is handled by the
-/// owning table's version counter (storage::Table::version): every entry
-/// records the version it was computed against, and a lookup under a
-/// different version drops the entry and reports a miss.
+/// Correctness: a hit returns exactly the bitmap the filter would have
+/// produced, and callers keep charging the same row budget — results and
+/// resource accounting are bit-identical with the cache on or off.
+/// Staleness is handled by the owning table's version counter
+/// (storage::Table::version): every entry records the version it was
+/// computed against, and a lookup under a different version drops the
+/// entry and reports a miss.
 ///
 /// Thread-safety: fully synchronized; Get/Put/Clear/stats may be called
 /// from any number of concurrent queries. Eviction is LRU under a byte
-/// budget (8 bytes per cached row id, 1 per bitmap byte, plus key
-/// overhead). Admission is cost-aware: one entry may occupy at most
-/// kAdmitCapNum/kAdmitCapDen of the budget, so a single huge selection
-/// can never wipe out many colder-but-still-hot entries; those under the
-/// cap are
-/// admitted by evicting from the cold (LRU tail) end first.
+/// budget (1 per bitmap byte plus key overhead). Admission is
+/// cost-aware: one entry may occupy at most kAdmitCapNum/kAdmitCapDen of
+/// the budget, so a single huge bitmap can never wipe out many
+/// colder-but-still-hot entries; those under the cap are admitted by
+/// evicting from the cold (LRU tail) end first.
 class ScanCache {
  public:
-  using SelectionPtr = std::shared_ptr<const std::vector<uint64_t>>;
   using BitmapPtr = std::shared_ptr<const std::vector<uint8_t>>;
 
   /// Monotonic counters (lifetime totals; never reset by eviction).
@@ -68,9 +65,9 @@ class ScanCache {
   static constexpr size_t kDefaultMaxBytes = 64ull << 20;  // 64 MiB
 
   /// Largest admissible entry as a fraction of the byte budget. 1/2 keeps
-  /// at least two distinct hot scans resident under any workload while
-  /// still admitting selections over multi-million-row tables at the
-  /// default budget (32 MB of row ids = 4M rows).
+  /// at least two distinct hot filters resident under any workload while
+  /// still admitting bitmaps over multi-million-row tables at the default
+  /// budget (32 MB of bitmap = 32M rows).
   static constexpr size_t kAdmitCapNum = 1;
   static constexpr size_t kAdmitCapDen = 2;
 
@@ -80,32 +77,23 @@ class ScanCache {
   ScanCache(const ScanCache&) = delete;
   ScanCache& operator=(const ScanCache&) = delete;
 
-  /// Cache key of a filtered scan over a base table — the execution-side
-  /// twin of optimizer::ScanFeedbackKey's "scan|<table>|<pred>" signature
-  /// (without the estimator-base tag, which is irrelevant at runtime).
-  /// `kind` distinguishes scan shapes whose selection semantics differ
-  /// ("scan" for relational scans, "vscan" for vertex-binding scans,
-  /// "bitmap" for expansion validity bitmaps).
-  static std::string Key(const char* kind, const std::string& table,
+  /// Cache key of `filter` over base table `table`: "filter|<table>|
+  /// <pred>", the execution-side twin of optimizer::ScanFeedbackKey's
+  /// "scan|<table>|<pred>" signature (without the estimator-base tag,
+  /// which is irrelevant at runtime).
+  static std::string Key(const std::string& table,
                          const storage::ExprPtr& filter);
 
-  /// The selection vector cached under `key` if present and computed at
+  /// The bitmap cached under `key` if present and computed at
   /// `table_version`; null on miss. A version mismatch invalidates the
   /// entry. A hit refreshes LRU recency.
-  SelectionPtr Get(const std::string& key, uint64_t table_version);
+  BitmapPtr Get(const std::string& key, uint64_t table_version);
 
-  /// Stores `sel` under `key` at `table_version`, evicting LRU entries
+  /// Stores `bitmap` under `key` at `table_version`, evicting LRU entries
   /// (coldest first) until the byte budget holds. An entry larger than
   /// the admission cap (kAdmitCapNum/kAdmitCapDen of the budget) is not
   /// stored. Replaces an existing entry for `key`.
-  void Put(const std::string& key, uint64_t table_version, SelectionPtr sel);
-
-  /// Bitmap twins of Get/Put for the "bitmap|..." key namespace. Key
-  /// namespaces never collide, so selection and bitmap payloads share one
-  /// LRU list and byte budget.
-  BitmapPtr GetBitmap(const std::string& key, uint64_t table_version);
-  void PutBitmap(const std::string& key, uint64_t table_version,
-                 BitmapPtr bitmap);
+  void Put(const std::string& key, uint64_t table_version, BitmapPtr bitmap);
 
   void Clear();
 
@@ -118,33 +106,14 @@ class ScanCache {
   }
 
  private:
-  /// One cached payload: exactly one of `sel` / `bitmap` is set,
-  /// discriminated by the key's kind prefix (namespaces never collide).
   struct Entry {
     std::string key;
     uint64_t version = 0;
-    SelectionPtr sel;
     BitmapPtr bitmap;
     size_t bytes = 0;
   };
 
-  static size_t EntryBytes(const std::string& key, const SelectionPtr& sel) {
-    return key.size() + (sel ? sel->size() * sizeof(uint64_t) : 0) +
-           kEntryOverhead;
-  }
-  static size_t EntryBytes(const std::string& key, const BitmapPtr& bitmap) {
-    return key.size() + (bitmap ? bitmap->size() : 0) + kEntryOverhead;
-  }
   static constexpr size_t kEntryOverhead = 64;  // list/map node estimate
-
-  /// Shared admit/evict/insert path for both payload kinds. Caller must
-  /// NOT hold mu_.
-  void PutEntry(Entry entry);
-
-  /// Looks up `key` at `table_version`, refreshing recency; nullptr-Entry
-  /// (end iterator) semantics folded into the bool. Caller holds mu_.
-  std::list<Entry>::iterator FindLocked(const std::string& key,
-                                        uint64_t table_version);
 
   /// Drops `it` (must be valid) and its index entry. Caller holds mu_.
   void EraseLocked(std::list<Entry>::iterator it);

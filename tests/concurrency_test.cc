@@ -1,12 +1,13 @@
 // Concurrent serving and the cross-query scan cache: ScanCache unit
-// behavior (LRU eviction, byte budget, version invalidation), cache
-// on/off parity — results and per-node actual rows identical across all
-// ten optimizer modes on the pipeline engine, the only one that reads
-// the cache —, invalidation on base-table
-// mutation, and concurrent Run / RunProfiled (adaptive statistics on)
-// against one shared Database, which is what the process-wide worker
-// pool and the stats_mu_ serialization exist for. The TSan CI job runs
-// this suite at 4 worker threads.
+// behavior (LRU eviction, byte budget, version invalidation), one cached
+// filter bitmap per (table, predicate) whichever operator computed it,
+// publication by LIMIT early-exit scans, cache on/off parity — results
+// and per-node actual rows identical across all ten optimizer modes on
+// the pipeline engine, the only one that reads the cache —,
+// invalidation on base-table mutation, and concurrent Run / RunProfiled
+// (adaptive statistics on) against one shared Database, which is what
+// the process-wide worker pool and the stats_mu_ serialization exist
+// for. The TSan CI job runs this suite at 4 worker threads.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "exec/pipeline/batch.h"
 #include "exec/scan_cache.h"
 #include "fixtures.h"
 #include "workload/harness.h"
@@ -46,23 +48,21 @@ exec::ExecutionOptions Options(exec::EngineKind engine, int threads,
 // ScanCache units
 // ---------------------------------------------------------------------------
 
-exec::ScanCache::SelectionPtr MakeSel(size_t n, uint64_t start = 0) {
-  auto sel = std::make_shared<std::vector<uint64_t>>();
-  for (size_t i = 0; i < n; ++i) sel->push_back(start + i);
-  return sel;
+exec::ScanCache::BitmapPtr MakeBitmap(size_t n) {
+  return std::make_shared<std::vector<uint8_t>>(n, 1);
 }
 
 TEST(ScanCacheTest, HitMissAndVersionInvalidation) {
   exec::ScanCache cache;
-  EXPECT_EQ(cache.Get("scan|T|p", 0), nullptr);  // cold
-  cache.Put("scan|T|p", 0, MakeSel(5));
-  auto hit = cache.Get("scan|T|p", 0);
+  EXPECT_EQ(cache.Get("filter|T|p", 0), nullptr);  // cold
+  cache.Put("filter|T|p", 0, MakeBitmap(5));
+  auto hit = cache.Get("filter|T|p", 0);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->size(), 5u);
   // Same key at a newer table version: the entry is stale, dropped, and
   // reported as a miss + invalidation.
-  EXPECT_EQ(cache.Get("scan|T|p", 1), nullptr);
-  EXPECT_EQ(cache.Get("scan|T|p", 0), nullptr);  // really gone
+  EXPECT_EQ(cache.Get("filter|T|p", 1), nullptr);
+  EXPECT_EQ(cache.Get("filter|T|p", 0), nullptr);  // really gone
   exec::ScanCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 3u);
@@ -72,14 +72,14 @@ TEST(ScanCacheTest, HitMissAndVersionInvalidation) {
 }
 
 TEST(ScanCacheTest, LruEvictionUnderByteBudget) {
-  // Budget fits two ~(64 + key + 100*8)-byte entries but not three.
+  // Budget fits two ~(64 + key + 800)-byte entries but not three.
   exec::ScanCache cache(/*max_bytes=*/1900);
-  cache.Put("a", 0, MakeSel(100));
-  cache.Put("b", 0, MakeSel(100));
+  cache.Put("a", 0, MakeBitmap(800));
+  cache.Put("b", 0, MakeBitmap(800));
   EXPECT_EQ(cache.entries(), 2u);
   // Touch "a" so "b" is the least recently used entry.
   EXPECT_NE(cache.Get("a", 0), nullptr);
-  cache.Put("c", 0, MakeSel(100));
+  cache.Put("c", 0, MakeBitmap(800));
   EXPECT_EQ(cache.entries(), 2u);
   EXPECT_EQ(cache.Get("b", 0), nullptr) << "LRU entry should be evicted";
   EXPECT_NE(cache.Get("a", 0), nullptr);
@@ -87,16 +87,55 @@ TEST(ScanCacheTest, LruEvictionUnderByteBudget) {
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_LE(cache.bytes(), cache.max_bytes());
   // An entry larger than the entire budget is rejected outright.
-  cache.Put("huge", 0, MakeSel(10000));
+  cache.Put("huge", 0, MakeBitmap(80000));
   EXPECT_EQ(cache.Get("huge", 0), nullptr);
   // Replacing a key keeps one entry and reclaims the old bytes.
   size_t before = cache.bytes();
-  cache.Put("c", 1, MakeSel(10));
+  cache.Put("c", 1, MakeBitmap(80));
   EXPECT_EQ(cache.entries(), 2u);
   EXPECT_LT(cache.bytes(), before);
   cache.Clear();
   EXPECT_EQ(cache.entries(), 0u);
   EXPECT_EQ(cache.bytes(), 0u);
+}
+
+// A plain LIMIT stops claiming morsels once it holds its rows, so a
+// filtered scan under it never sees most of its table. Its filter result
+// is still complete — computed once for the whole table before the first
+// morsel — so the early-exit run publishes it and the next run replays it.
+TEST(ScanCachePublicationTest, PlainLimitScanPublishesItsFilter) {
+  Database db;
+  auto items = db.CreateTable(
+      "Item",
+      storage::Schema({storage::ColumnDef{"id", LogicalType::kInt64},
+                       storage::ColumnDef{"grp", LogicalType::kInt64}}));
+  ASSERT_TRUE(items.ok());
+  const int64_t kRows = 3 * static_cast<int64_t>(exec::pipeline::kBatchRows) +
+                        100;  // four morsels
+  for (int64_t r = 0; r < kRows; ++r) {
+    ASSERT_TRUE((*items)->AppendRow({Value::Int(r), Value::Int(r % 5)}).ok());
+  }
+  auto scan = std::make_unique<plan::PhysScanTable>();
+  scan->table = "Item";
+  scan->alias = "i";
+  scan->filter = storage::Expr::Eq("grp", Value::Int(1));
+  plan::PhysLimit limit;
+  limit.limit = 5;
+  limit.children.push_back(std::move(scan));
+  // One worker: morsel 0 alone fills the LIMIT, morsels 1-3 are skipped.
+  exec::ExecutionOptions options =
+      Options(exec::EngineKind::kPipeline, 1, /*scan_cache=*/true);
+
+  auto cold = db.Execute(limit, options);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  ASSERT_EQ((*cold)->num_rows(), 5u);
+  EXPECT_EQ(db.scan_cache().entries(), 1u) << "early-exit run publishes";
+  const uint64_t hits_before = db.scan_cache().stats().hits;
+
+  auto warm = db.Execute(limit, options);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_GT(db.scan_cache().stats().hits, hits_before);
+  EXPECT_EQ(testing::SortedRows(**warm), testing::SortedRows(**cold));
 }
 
 // ---------------------------------------------------------------------------
@@ -261,6 +300,44 @@ TEST_F(ConcurrencyTest, ExplainAnalyzeRendersCacheHits) {
       Options(exec::EngineKind::kPipeline, 2, true));
   ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
   EXPECT_NE(analyzed->find("scan cache:"), std::string::npos) << *analyzed;
+}
+
+// One predicate over one table is one cache entry, whichever operator
+// consumes it: here the driving vertex scan and the expansion's target
+// filter both filter Person by name != 'Nobody'.
+TEST_F(ConcurrencyTest, ScanAndExpansionShareOneFilterEntry) {
+  auto not_nobody = [] {
+    return storage::Expr::Compare(
+        storage::CompareOp::kNe, storage::Expr::Column("name"),
+        storage::Expr::Constant(Value::String("Nobody")));
+  };
+  auto scan = std::make_unique<plan::PhysScanVertex>();
+  scan->vertex_label = db_.mapping().FindVertexLabel("Person");
+  scan->var = "a";
+  scan->filter = not_nobody();
+  plan::PhysExpand expand;
+  expand.edge_label = db_.mapping().FindEdgeLabel("Knows");
+  expand.dir = graph::Direction::kOut;
+  expand.from_var = "a";
+  expand.to_var = "b";
+  expand.vertex_filter = not_nobody();
+  expand.children.push_back(std::move(scan));
+  exec::ExecutionOptions options =
+      Options(exec::EngineKind::kPipeline, 2, /*scan_cache=*/true);
+
+  db_.ClearScanCache();
+  auto cold = db_.Execute(expand, options);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  ASSERT_GT((*cold)->num_rows(), 0u);
+  EXPECT_EQ(db_.scan_cache().entries(), 1u);
+
+  // Both consumers replay the one entry.
+  const uint64_t hits_before = db_.scan_cache().stats().hits;
+  auto warm = db_.Execute(expand, options);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_EQ(db_.scan_cache().stats().hits, hits_before + 2);
+  EXPECT_EQ(db_.scan_cache().entries(), 1u);
+  EXPECT_EQ(testing::SortedRows(**warm), testing::SortedRows(**cold));
 }
 
 TEST_F(ConcurrencyTest, ConcurrentClientsMatchSerialResults) {

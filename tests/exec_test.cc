@@ -444,16 +444,20 @@ TEST_F(ExecTest, TimeoutTriggers) {
 
 // The materializing executor is the reference the pipeline engine is
 // checked against, so it must share no state with it: entries in the
-// pipeline engine's scan cache — here deliberately wrong ones, stored
-// under the exact keys and table versions the plans would look up — must
-// neither be read nor be added to.
+// pipeline engine's scan cache — here deliberately wrong filter bitmaps,
+// stored under the exact (table, predicate) keys and table versions the
+// plans would look up — must neither be read nor be added to.
 TEST_F(ExecTest, ReferenceIgnoresPoisonedScanCache) {
   auto person = db_.catalog().GetTable("Person");
   auto message = db_.catalog().GetTable("Message");
   ASSERT_TRUE(person.ok() && message.ok());
-  auto selection = [](std::vector<uint64_t> rows) {
-    return std::make_shared<const std::vector<uint64_t>>(std::move(rows));
+  // A bitmap over `n` rows passing exactly `rows`.
+  auto bitmap = [](uint64_t n, std::vector<uint64_t> rows) {
+    auto bits = std::make_shared<std::vector<uint8_t>>(n, 0);
+    for (uint64_t r : rows) (*bits)[r] = 1;
+    return bits;
   };
+  const uint64_t persons = (*person)->num_rows();
   exec::ScanCache cache;
 
   // Filtered table scan: the true answer is Bob (row 1).
@@ -461,16 +465,16 @@ TEST_F(ExecTest, ReferenceIgnoresPoisonedScanCache) {
   scan.table = "Person";
   scan.alias = "p";
   scan.filter = Expr::Eq("name", Value::String("Bob"));
-  cache.Put(exec::ScanCache::Key("scan", "Person", scan.filter),
-            (*person)->version(), selection({0, 2}));
+  cache.Put(exec::ScanCache::Key("Person", scan.filter),
+            (*person)->version(), bitmap(persons, {0, 2}));
 
   // Filtered vertex scan: the true answer is Tom (row 0).
   plan::PhysScanVertex vscan;
   vscan.vertex_label = Label("Person");
   vscan.var = "p";
   vscan.filter = Expr::Eq("name", Value::String("Tom"));
-  cache.Put(exec::ScanCache::Key("vscan", (*person)->name(), vscan.filter),
-            (*person)->version(), selection({1, 2}));
+  cache.Put(exec::ScanCache::Key((*person)->name(), vscan.filter),
+            (*person)->version(), bitmap(persons, {1, 2}));
 
   // Expansion with a target-vertex filter: only message row 0 ("hello
   // graphs") passes, but the poisoned bitmap passes every message.
@@ -484,11 +488,9 @@ TEST_F(ExecTest, ReferenceIgnoresPoisonedScanCache) {
   expand.to_var = "m";
   expand.vertex_filter = Expr::Eq("content", Value::String("hello graphs"));
   expand.children.push_back(std::move(from));
-  cache.PutBitmap(
-      exec::ScanCache::Key("bitmap", (*message)->name(), expand.vertex_filter),
-      (*message)->version(),
-      std::make_shared<const std::vector<uint8_t>>(
-          std::vector<uint8_t>{1, 1}));
+  cache.Put(exec::ScanCache::Key((*message)->name(), expand.vertex_filter),
+            (*message)->version(),
+            bitmap((*message)->num_rows(), {0, 1}));
   ASSERT_EQ(cache.entries(), 3u);
   const uint64_t lookups_before = cache.stats().Lookups();
 

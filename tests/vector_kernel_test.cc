@@ -546,14 +546,8 @@ TEST(TypedColumnCompareTest, SignMatchesValueCompare) {
 }
 
 // ---------------------------------------------------------------------------
-// ScanCache: cost-aware admission + bitmap payloads
+// ScanCache: cost-aware admission + LRU order on filter bitmaps
 // ---------------------------------------------------------------------------
-
-ScanCache::SelectionPtr MakeSel(size_t n) {
-  auto sel = std::make_shared<std::vector<uint64_t>>();
-  for (size_t i = 0; i < n; ++i) sel->push_back(i);
-  return sel;
-}
 
 ScanCache::BitmapPtr MakeBitmap(size_t n) {
   return std::make_shared<std::vector<uint8_t>>(n, 1);
@@ -562,49 +556,38 @@ ScanCache::BitmapPtr MakeBitmap(size_t n) {
 TEST(ScanCacheAdmissionTest, RejectsEntriesOverTheCapFraction) {
   ScanCache cache(/*max_bytes=*/2000);  // cap = 1000 bytes per entry
   ASSERT_EQ(cache.admit_cap_bytes(), 1000u);
-  // 100 ids = 1 + 800 + 64 bytes: admitted.
-  cache.Put("a", 1, MakeSel(100));
+  // 800 rows = 1 + 800 + 64 bytes: admitted.
+  cache.Put("a", 1, MakeBitmap(800));
   EXPECT_EQ(cache.entries(), 1u);
-  // 1000 ids = 8065 bytes > cap: refused outright (no eviction of the
+  // 1000 rows = 1065 bytes > cap: refused outright (no eviction of the
   // colder-but-still-hot entry), counted as a rejection.
-  cache.Put("b", 1, MakeSel(1000));
+  cache.Put("b", 1, MakeBitmap(1000));
   EXPECT_EQ(cache.entries(), 1u);
   EXPECT_EQ(cache.Get("b", 1), nullptr);
   EXPECT_NE(cache.Get("a", 1), nullptr);
   EXPECT_EQ(cache.stats().rejections, 1u);
-  // Oversized bitmaps are refused by the same cap.
-  cache.PutBitmap("bitmap|c", 1, MakeBitmap(1500));
-  EXPECT_EQ(cache.stats().rejections, 2u);
-  EXPECT_EQ(cache.entries(), 1u);
 }
 
-TEST(ScanCacheAdmissionTest, BitmapPayloadsShareLruAndVersioning) {
+TEST(ScanCacheAdmissionTest, HitsShareThePayloadAndEvictColdestFirst) {
   ScanCache cache(/*max_bytes=*/2000);
   auto bitmap = MakeBitmap(200);  // 9 + 200 + 64 = 273 bytes
-  cache.PutBitmap("bitmap|t1", 7, bitmap);
-  auto hit = cache.GetBitmap("bitmap|t1", 7);
+  cache.Put("filter|t1", 7, bitmap);
+  auto hit = cache.Get("filter|t1", 7);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit.get(), bitmap.get());  // shared, not copied
   EXPECT_EQ(cache.stats().hits, 1u);
-  // Version mismatch invalidates, exactly like selection entries.
-  EXPECT_EQ(cache.GetBitmap("bitmap|t1", 8), nullptr);
+  // A version mismatch invalidates.
+  EXPECT_EQ(cache.Get("filter|t1", 8), nullptr);
   EXPECT_EQ(cache.stats().invalidations, 1u);
-  // Selections and bitmaps share one byte budget: filling with
-  // selections evicts the bitmap from the cold end.
-  cache.PutBitmap("bitmap|t2", 1, MakeBitmap(600));
-  cache.Put("s1", 1, MakeSel(100));
-  cache.Put("s2", 1, MakeSel(100));
-  cache.Put("s3", 1, MakeSel(100));
-  EXPECT_EQ(cache.GetBitmap("bitmap|t2", 1), nullptr);
-  EXPECT_GT(cache.stats().evictions, 0u);
-}
-
-TEST(ScanCacheAdmissionTest, BitmapKeyNamespaceNeverCollides) {
-  auto filter = Expr::Eq("x", Value::Int(1));
-  EXPECT_NE(ScanCache::Key("bitmap", "t", filter),
-            ScanCache::Key("scan", "t", filter));
-  EXPECT_NE(ScanCache::Key("bitmap", "t", filter),
-            ScanCache::Key("vscan", "t", filter));
+  // 673 + 2 * 866 bytes overflow the budget: the put that overflows it
+  // evicts from the cold end, oldest entry first.
+  cache.Put("filter|t2", 1, MakeBitmap(600));
+  cache.Put("s1", 1, MakeBitmap(800));
+  cache.Put("s2", 1, MakeBitmap(800));
+  EXPECT_EQ(cache.Get("filter|t2", 1), nullptr);
+  EXPECT_NE(cache.Get("s1", 1), nullptr);
+  EXPECT_NE(cache.Get("s2", 1), nullptr);
+  EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
 }  // namespace
