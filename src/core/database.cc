@@ -11,6 +11,35 @@
 
 namespace relgo {
 
+namespace {
+
+/// Registers a pull-collector for one StampedLru cache under `prefix`:
+/// the cache's lifetime Stats are the single source of truth (obs_test
+/// pins the no-drift property), so the registry reads them at snapshot
+/// time instead of mirroring every event. `cost_gauge`, when non-null,
+/// names the gauge reporting the resident entries' summed cost.
+template <typename Cache>
+void AddCacheCollector(obs::MetricsRegistry* metrics, std::string prefix,
+                       const Cache* cache, const char* cost_gauge) {
+  metrics->AddCollector([prefix, cache,
+                         cost_gauge](obs::MetricsSnapshot* out) {
+    CacheStats s = cache->stats();
+    out->counters[prefix + "_hits_total"] += s.hits;
+    out->counters[prefix + "_misses_total"] += s.misses;
+    out->counters[prefix + "_insertions_total"] += s.insertions;
+    out->counters[prefix + "_evictions_total"] += s.evictions;
+    out->counters[prefix + "_invalidations_total"] += s.invalidations;
+    out->counters[prefix + "_rejections_total"] += s.rejections;
+    out->gauges[prefix + "_entries"] += static_cast<int64_t>(cache->entries());
+    if (cost_gauge != nullptr) {
+      out->gauges[prefix + "_" + cost_gauge] +=
+          static_cast<int64_t>(cache->cost());
+    }
+  });
+}
+
+}  // namespace
+
 Database::Database() : table_stats_(&catalog_) {
   // Wire the observability substrate once, before any query (and hence any
   // concurrency) exists. Handles are resolved here so the per-query path
@@ -43,38 +72,8 @@ Database::Database() : table_stats_(&catalog_) {
   query_metrics_.timeout =
       &metrics_.GetCounter("relgo_queries_timeout_total");
 
-  // The scan cache keeps its own lifetime Stats (the single source of
-  // truth — obs_test pins the no-drift property); the registry pulls them
-  // at snapshot time instead of mirroring every event.
-  exec::ScanCache* cache = &scan_cache_;
-  metrics_.AddCollector([cache](obs::MetricsSnapshot* out) {
-    exec::ScanCache::Stats s = cache->stats();
-    out->counters["relgo_scan_cache_hits_total"] += s.hits;
-    out->counters["relgo_scan_cache_misses_total"] += s.misses;
-    out->counters["relgo_scan_cache_insertions_total"] += s.insertions;
-    out->counters["relgo_scan_cache_evictions_total"] += s.evictions;
-    out->counters["relgo_scan_cache_invalidations_total"] +=
-        s.invalidations;
-    out->gauges["relgo_scan_cache_entries"] +=
-        static_cast<int64_t>(cache->entries());
-    out->gauges["relgo_scan_cache_bytes"] +=
-        static_cast<int64_t>(cache->bytes());
-  });
-
-  // Same pull-collector pattern for the plan cache: its lifetime Stats are
-  // the single source of truth; the registry reads them at snapshot time.
-  optimizer::PlanCache* plans = &plan_cache_;
-  metrics_.AddCollector([plans](obs::MetricsSnapshot* out) {
-    optimizer::PlanCache::Stats s = plans->stats();
-    out->counters["relgo_plan_cache_hits_total"] += s.hits;
-    out->counters["relgo_plan_cache_misses_total"] += s.misses;
-    out->counters["relgo_plan_cache_insertions_total"] += s.insertions;
-    out->counters["relgo_plan_cache_evictions_total"] += s.evictions;
-    out->counters["relgo_plan_cache_invalidations_total"] +=
-        s.invalidations;
-    out->gauges["relgo_plan_cache_entries"] +=
-        static_cast<int64_t>(plans->entries());
-  });
+  AddCacheCollector(&metrics_, "relgo_scan_cache", &scan_cache_, "bytes");
+  AddCacheCollector(&metrics_, "relgo_plan_cache", &plan_cache_, nullptr);
 }
 
 Database::~Database() { Shutdown(ShutdownMode::kCancel); }
@@ -155,15 +154,6 @@ Result<optimizer::OptimizeResult> Database::OptimizeInternal(
   return optimizer_->Optimize(query, mode);
 }
 
-uint64_t Database::CatalogDataVersion() const {
-  uint64_t version = 0;
-  for (const std::string& name : catalog_.ListTables()) {
-    auto table = catalog_.GetTable(name);
-    if (table.ok()) version += (*table)->version();
-  }
-  return version;
-}
-
 Result<Database::PlannedQuery> Database::PlanQuery(
     const plan::SpjmQuery& query, optimizer::OptimizerMode mode,
     const exec::ExecutionOptions& options) const {
@@ -180,7 +170,7 @@ Result<Database::PlannedQuery> Database::PlanQuery(
 
   Timer timer;
   out.cache_key = optimizer::TemplateSignature(query, mode);
-  out.cache_data_version = CatalogDataVersion();
+  out.cache_data_version = catalog_.version();
   uint64_t epoch = stats_epoch_.load(std::memory_order_acquire);
   std::shared_ptr<const plan::PhysicalOp> cached =
       plan_cache_.Get(out.cache_key, epoch, out.cache_data_version);
@@ -343,10 +333,9 @@ class TraceScope {
  public:
   /// `query_id` is minted by the caller (unconditionally, so cancellation
   /// works with tracing off) and shared with the cancellation registry.
-  TraceScope(obs::TraceSink* sink, bool enabled, std::string label,
-             uint64_t query_id)
+  TraceScope(obs::TraceSink* sink, std::string label, uint64_t query_id)
       : sink_(sink), label_(std::move(label)) {
-    if (enabled) {
+    if (sink->enabled()) {
       recorder_ = std::make_unique<obs::TraceRecorder>(query_id);
     }
   }
@@ -392,8 +381,7 @@ Result<Database::ExecutedQuery> Database::RunQuery(
     exec::QueryProfile* profile) const {
   uint64_t query_id = trace_sink_.NextQueryId();
   std::string label = TraceLabel(query, mode);
-  TraceScope trace(&trace_sink_, options.trace || trace_sink_.enabled(),
-                   label, query_id);
+  TraceScope trace(&trace_sink_, label, query_id);
   ExecutedQuery run;
   QueryObservation& obs = run.obs;
 

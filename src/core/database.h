@@ -65,8 +65,9 @@ struct ProfiledRunResult {
 /// against in-flight optimizations internally (stats_mu_). Data loading
 /// (CreateTable, appends, mapping declarations) and Finalize itself are
 /// not concurrent-safe against queries; mutating a base table between
-/// queries is supported and invalidates affected scan-cache entries via
-/// the table's version counter.
+/// queries is supported — appends and drop + re-create invalidate the
+/// affected scan-cache entries and every cached plan via the
+/// process-wide storage version counter (storage::NextStorageVersion).
 ///
 /// Typical lifecycle (see examples/quickstart.cc):
 ///
@@ -140,11 +141,11 @@ class Database {
   void ResetAdaptiveStats() const { feedback_.Clear(); }
 
   /// The cross-query scan/filter cache (ROADMAP "Shared scan caching"):
-  /// the pipeline engine's filtered base-table scans store their
-  /// selection vectors here, keyed by the feedback layer's scan
-  /// signatures and invalidated by table version counters. Consulted by
-  /// every pipeline execution unless ExecutionOptions::scan_cache is off;
-  /// the materializing reference never reads or writes it.
+  /// the pipeline engine's filtered scans and expansions store their
+  /// per-row filter bitmaps here, one per (table, predicate), stamped
+  /// with the table's version. Consulted by every pipeline execution
+  /// unless ExecutionOptions::scan_cache is off; the materializing
+  /// reference never reads or writes it.
   const exec::ScanCache& scan_cache() const { return scan_cache_; }
   /// Empties the cache (A/B measurement, tests). `const` like
   /// ResetAdaptiveStats: the cache is derived state, not content.
@@ -152,7 +153,7 @@ class Database {
 
   /// The cross-query plan cache (ROADMAP "Serving tier"): optimized
   /// physical plans keyed by template signature × optimizer mode,
-  /// validated against stats_epoch() and the catalog's table versions.
+  /// validated against stats_epoch() and storage::Catalog::version().
   /// Consulted by Run/RunProfiled/ExplainAnalyze unless
   /// ExecutionOptions::plan_cache is off or the run is adaptive.
   const optimizer::PlanCache& plan_cache() const { return plan_cache_; }
@@ -252,16 +253,17 @@ class Database {
 
   /// The process-wide metrics registry: query counters and latency
   /// histograms, worker-pool and feedback metrics, plus pull-collectors
-  /// for subsystems with their own accounting (scan cache). Render with
-  /// metrics().RenderText() or merge Snapshot()s across databases.
-  /// `const` like the pool: observing the server is not mutating content.
+  /// for subsystems with their own accounting (scan and plan caches).
+  /// Render with metrics().RenderText() or merge Snapshot()s across
+  /// databases. `const` like the pool: observing the server is not
+  /// mutating content.
   obs::MetricsRegistry& metrics() const { return metrics_; }
 
   /// The query-lifecycle trace sink (Chrome trace-event export).
   obs::TraceSink& trace_sink() const { return trace_sink_; }
 
-  /// Turns span recording on/off for every subsequent query (individual
-  /// queries can also opt in via ExecutionOptions::trace).
+  /// Turns span recording on/off for every subsequent query — the one
+  /// tracing switch.
   void SetTracing(bool on) const { trace_sink_.set_enabled(on); }
 
   /// Writes the collected spans as Chrome trace-event JSON, loadable by
@@ -361,10 +363,6 @@ class Database {
                                  const exec::ExecutionOptions& options,
                                  exec::QueryProfile* profile) const;
 
-  /// Sum of all base tables' version counters: the data component of
-  /// plan-cache validation. Any append to any table changes it.
-  uint64_t CatalogDataVersion() const;
-
   /// Records one finished query: registry counters/histograms (when
   /// `options.metrics`) and the slow-query log (when the
   /// `options.slow_query_ms` threshold is crossed — independent of the
@@ -414,8 +412,8 @@ class Database {
   mutable std::atomic<uint64_t> stats_epoch_{0};
   /// Observability state (mutable for the same reason as the pool:
   /// serving and observing are logically const). Declared before use:
-  /// the constructor wires the pool's SchedulerMetrics and the scan-cache
-  /// collector out of `metrics_`.
+  /// the constructor wires the pool's SchedulerMetrics and the cache
+  /// collectors out of `metrics_`.
   mutable obs::MetricsRegistry metrics_;
   mutable obs::TraceSink trace_sink_;
   mutable obs::SlowQueryLog slow_log_;

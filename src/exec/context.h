@@ -104,7 +104,7 @@ struct ExecutionOptions {
   /// "Shared scan caching"): the pipeline engine's filtered scans and
   /// expansions reuse the per-row filter bitmap an earlier query computed
   /// for the same (table, predicate) instead of re-evaluating the
-  /// predicate, invalidated by the table's version counter. The
+  /// predicate, stamped with the table's version. The
   /// materializing reference never reads or publishes entries, whatever
   /// this flag says. Results are bit-identical either way (the cache
   /// stores exactly the bitmap the filter would have produced, and
@@ -115,16 +115,16 @@ struct ExecutionOptions {
   /// "Serving tier"): optimized physical plans are cached by template
   /// signature (query shape with parameter slots in place of constants,
   /// per optimizer mode) and validated against the Database's stats epoch
-  /// and catalog data version — so a hit skips optimization entirely and
-  /// an entry is invalidated exactly when adaptive feedback taught the
-  /// estimator something or a table changed. The cached plan is re-bound
-  /// against the call's constants via clone-before-Bind, and
-  /// parameterized predicates are estimated value-insensitively, so
-  /// cached and fresh runs are bit-identical; on by default, with the off
-  /// switch for A/B measurement and the differential suite
-  /// (plan_cache_test). Adaptive (RunProfiled with adaptive_stats) runs
-  /// bypass the cache: they exist to refine statistics, not to reuse
-  /// stale estimates.
+  /// and catalog version — so a hit skips optimization entirely and an
+  /// entry is invalidated exactly when adaptive feedback taught the
+  /// estimator something or a table was appended, created or dropped.
+  /// The cached plan is re-bound against the call's constants via
+  /// clone-before-Bind, and parameterized predicates are estimated
+  /// value-insensitively, so cached and fresh runs are bit-identical; on
+  /// by default, with the off switch for A/B measurement and the
+  /// differential suite (plan_cache_test). Adaptive (RunProfiled with
+  /// adaptive_stats) runs bypass the cache: they exist to refine
+  /// statistics, not to reuse stale estimates.
   bool plan_cache = true;
   /// Opt-in adaptive statistics (ROADMAP "Adaptive feedback"): after a
   /// profiled run (Database::RunProfiled / ExplainAnalyze), per-operator
@@ -142,12 +142,6 @@ struct ExecutionOptions {
   /// exists for A/B parity tests and to exclude a query from the fleet
   /// view (obs_test pins the parity).
   bool metrics = true;
-  /// Record query-lifecycle spans (optimize, execute, per-pipeline build/
-  /// run/sink-finish) into the Database's TraceSink, exportable as Chrome
-  /// trace-event JSON via Database::DumpTrace. Off by default: spans
-  /// allocate. Tracing is also forced on for every query while the sink
-  /// itself is enabled (Database::SetTracing).
-  bool trace = false;
   /// Slow-query log threshold: a query whose optimization + execution
   /// wall time reaches this many milliseconds is recorded as one
   /// structured line in the Database's SlowQueryLog. <= 0 disables.

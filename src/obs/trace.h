@@ -84,9 +84,8 @@ class TraceSink {
   TraceSink(const TraceSink&) = delete;
   TraceSink& operator=(const TraceSink&) = delete;
 
-  /// Sink-level switch: when on, every Database query is traced even
-  /// without ExecutionOptions::trace (and ParsePattern records parse
-  /// spans, which have no per-query options to opt in through).
+  /// The tracing switch (Database::SetTracing): while on, every Database
+  /// query is traced and ParsePattern records parse spans.
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 

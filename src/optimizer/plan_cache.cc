@@ -208,66 +208,5 @@ storage::ExprPtr RebindExpr(const storage::ExprPtr& e,
   });
 }
 
-std::shared_ptr<const plan::PhysicalOp> PlanCache::Get(const std::string& key,
-                                                       uint64_t stats_epoch,
-                                                       uint64_t data_version) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
-  if (it == index_.end()) {
-    ++stats_.misses;
-    return nullptr;
-  }
-  if (it->second->stats_epoch != stats_epoch ||
-      it->second->data_version != data_version) {
-    lru_.erase(it->second);
-    index_.erase(it);
-    ++stats_.invalidations;
-    ++stats_.misses;
-    return nullptr;
-  }
-  lru_.splice(lru_.begin(), lru_, it->second);
-  ++stats_.hits;
-  return it->second->plan;
-}
-
-void PlanCache::Put(const std::string& key, uint64_t stats_epoch,
-                    uint64_t data_version,
-                    std::shared_ptr<const plan::PhysicalOp> plan) {
-  if (capacity_ == 0 || !plan) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    it->second->stats_epoch = stats_epoch;
-    it->second->data_version = data_version;
-    it->second->plan = std::move(plan);
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  lru_.push_front(Entry{key, stats_epoch, data_version, std::move(plan)});
-  index_[key] = lru_.begin();
-  ++stats_.insertions;
-  while (lru_.size() > capacity_) {
-    index_.erase(lru_.back().key);
-    lru_.pop_back();
-    ++stats_.evictions;
-  }
-}
-
-void PlanCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  lru_.clear();
-  index_.clear();
-}
-
-PlanCache::Stats PlanCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
-
-size_t PlanCache::entries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return lru_.size();
-}
-
 }  // namespace optimizer
 }  // namespace relgo

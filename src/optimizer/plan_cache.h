@@ -2,13 +2,13 @@
 #define RELGO_OPTIMIZER_PLAN_CACHE_H_
 
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "common/stamped_lru.h"
 #include "optimizer/query_optimizer.h"
 #include "plan/physical_plan.h"
 #include "plan/spjm_query.h"
@@ -64,62 +64,32 @@ storage::ExprPtr RebindExpr(const storage::ExprPtr& e,
                             const std::unordered_map<int, Value>& params);
 
 /// Process-wide cache of optimized physical plans, keyed by
-/// TemplateSignature and validated against the owning Database's stats
-/// epoch and catalog data version. Invalidation is exact, never timed: an
-/// entry dies when adaptive feedback taught the estimator something (epoch
-/// bump) or the data changed under it (table version bump). Count-based
-/// LRU; internally synchronized.
-class PlanCache {
+/// TemplateSignature and stamped with (stats epoch, catalog version) of
+/// the owning Database. Invalidation is exact, never timed: an entry dies
+/// when adaptive feedback taught the estimator something (epoch bump) or
+/// the catalog changed under it (storage::Catalog::version moves on every
+/// append, create and drop). Policy is StampedLru's with unit cost, so
+/// the budget is an entry count.
+class PlanCache
+    : public StampedLru<plan::PhysicalOp, std::pair<uint64_t, uint64_t>> {
  public:
-  struct Stats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t insertions = 0;
-    uint64_t evictions = 0;      ///< capacity pressure
-    uint64_t invalidations = 0;  ///< stale epoch / data version
-    uint64_t Lookups() const { return hits + misses; }
-    double HitRate() const {
-      return Lookups() == 0
-                 ? 0.0
-                 : static_cast<double>(hits) / static_cast<double>(Lookups());
-    }
-  };
+  explicit PlanCache(size_t capacity = 256) : StampedLru(capacity) {}
 
-  explicit PlanCache(size_t capacity = 256) : capacity_(capacity) {}
-
-  /// Returns the cached plan for `key` if present and still valid against
-  /// (stats_epoch, data_version); otherwise records a miss. A present but
-  /// stale entry is erased and additionally counted as an invalidation.
-  std::shared_ptr<const plan::PhysicalOp> Get(const std::string& key,
-                                              uint64_t stats_epoch,
-                                              uint64_t data_version);
+  /// The cached plan for `key` if present and still valid against
+  /// (stats_epoch, data_version); otherwise a miss.
+  Ptr Get(const std::string& key, uint64_t stats_epoch,
+          uint64_t data_version) {
+    return StampedLru::Get(key, {stats_epoch, data_version});
+  }
 
   /// Publishes a plan under `key`. Callers only publish after the plan
   /// executed successfully (the same no-publish-on-failure chokepoint the
   /// scan cache uses), so a cancelled or faulted query never seeds the
-  /// cache. Re-publishing an existing key overwrites it.
+  /// cache.
   void Put(const std::string& key, uint64_t stats_epoch,
-           uint64_t data_version,
-           std::shared_ptr<const plan::PhysicalOp> plan);
-
-  void Clear();
-  Stats stats() const;
-  size_t entries() const;
-  size_t capacity() const { return capacity_; }
-
- private:
-  struct Entry {
-    std::string key;
-    uint64_t stats_epoch = 0;
-    uint64_t data_version = 0;
-    std::shared_ptr<const plan::PhysicalOp> plan;
-  };
-
-  mutable std::mutex mu_;
-  size_t capacity_;
-  std::list<Entry> lru_;  ///< front = most recently used
-  std::unordered_map<std::string, std::list<Entry>::iterator> index_;
-  Stats stats_;
+           uint64_t data_version, Ptr plan) {
+    StampedLru::Put(key, {stats_epoch, data_version}, std::move(plan));
+  }
 };
 
 }  // namespace optimizer

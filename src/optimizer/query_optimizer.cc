@@ -190,32 +190,7 @@ Result<PhysicalOpPtr> QueryOptimizer::OptimizeGdbmsSim(
     filter->children.push_back(std::move(root));
     root = std::move(filter);
   }
-  if (!query.aggregates.empty()) {
-    auto agg = std::make_unique<plan::PhysHashAggregate>();
-    agg->group_by = query.group_by;
-    agg->aggregates = query.aggregates;
-    agg->children.push_back(std::move(root));
-    root = std::move(agg);
-  }
-  if (!query.select.empty()) {
-    auto proj = std::make_unique<plan::PhysProject>();
-    proj->columns = query.select;
-    proj->children.push_back(std::move(root));
-    root = std::move(proj);
-  }
-  if (!query.order_by.empty()) {
-    auto order = std::make_unique<plan::PhysOrderBy>();
-    order->keys = query.order_by;
-    order->children.push_back(std::move(root));
-    root = std::move(order);
-  }
-  if (query.limit >= 0) {
-    auto limit = std::make_unique<plan::PhysLimit>();
-    limit->limit = query.limit;
-    limit->children.push_back(std::move(root));
-    root = std::move(limit);
-  }
-  return root;
+  return AddOutputClause(query, std::move(root));
 }
 
 }  // namespace optimizer

@@ -822,6 +822,35 @@ Status RelationalOptimizer::FlattenPattern(
   return Status::OK();
 }
 
+PhysicalOpPtr AddOutputClause(const SpjmQuery& query, PhysicalOpPtr root) {
+  auto wrap = [&root](PhysicalOpPtr op) {
+    op->children.push_back(std::move(root));
+    root = std::move(op);
+  };
+  if (!query.aggregates.empty()) {
+    auto agg = std::make_unique<plan::PhysHashAggregate>();
+    agg->group_by = query.group_by;
+    agg->aggregates = query.aggregates;
+    wrap(std::move(agg));
+  }
+  if (!query.select.empty()) {
+    auto proj = std::make_unique<plan::PhysProject>();
+    proj->columns = query.select;
+    wrap(std::move(proj));
+  }
+  if (!query.order_by.empty()) {
+    auto order = std::make_unique<plan::PhysOrderBy>();
+    order->keys = query.order_by;
+    wrap(std::move(order));
+  }
+  if (query.limit >= 0) {
+    auto limit = std::make_unique<plan::PhysLimit>();
+    limit->limit = query.limit;
+    wrap(std::move(limit));
+  }
+  return root;
+}
+
 Result<PhysicalOpPtr> RelationalOptimizer::Plan(
     std::vector<RelNode> nodes, std::vector<JoinEdgeSpec> edges,
     std::vector<ExprPtr> conjuncts, const SpjmQuery& query,
@@ -889,33 +918,7 @@ Result<PhysicalOpPtr> RelationalOptimizer::Plan(
     root = std::move(filter);
   }
 
-  // Output clause: aggregate, project, order, limit.
-  if (!query.aggregates.empty()) {
-    auto agg = std::make_unique<plan::PhysHashAggregate>();
-    agg->group_by = query.group_by;
-    agg->aggregates = query.aggregates;
-    agg->children.push_back(std::move(root));
-    root = std::move(agg);
-  }
-  if (!query.select.empty()) {
-    auto proj = std::make_unique<plan::PhysProject>();
-    proj->columns = query.select;
-    proj->children.push_back(std::move(root));
-    root = std::move(proj);
-  }
-  if (!query.order_by.empty()) {
-    auto order = std::make_unique<plan::PhysOrderBy>();
-    order->keys = query.order_by;
-    order->children.push_back(std::move(root));
-    root = std::move(order);
-  }
-  if (query.limit >= 0) {
-    auto limit = std::make_unique<plan::PhysLimit>();
-    limit->limit = query.limit;
-    limit->children.push_back(std::move(root));
-    root = std::move(limit);
-  }
-  return root;
+  return AddOutputClause(query, std::move(root));
 }
 
 Result<PhysicalOpPtr> RelationalOptimizer::PlanAgnostic(

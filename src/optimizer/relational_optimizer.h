@@ -71,6 +71,13 @@ struct JoinEdgeSpec {
   graph::Direction vertex_side = graph::Direction::kOut;
 };
 
+/// Wraps `root` in the query's output clause, innermost first:
+/// HASH_AGGREGATE (when aggregating), PROJECT (when selecting), ORDER_BY,
+/// LIMIT — each only when the query asks for it. Every optimizer mode
+/// ends its plan here.
+plan::PhysicalOpPtr AddOutputClause(const plan::SpjmQuery& query,
+                                    plan::PhysicalOpPtr root);
+
 /// DP/greedy join-order optimizer with C_out cost, plus physical plan
 /// emission (hash joins, or predefined rid-joins when the other side is a
 /// base scan and the index applies — the order-sensitivity GRainDB

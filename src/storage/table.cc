@@ -5,6 +5,11 @@
 namespace relgo {
 namespace storage {
 
+uint64_t NextStorageVersion() {
+  static std::atomic<uint64_t> counter{0};
+  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
 Table::Table(std::string name, Schema schema)
     : name_(std::move(name)), schema_(std::move(schema)) {
   columns_.reserve(schema_.num_columns());
@@ -26,7 +31,7 @@ Status Table::AppendRow(const std::vector<Value>& values) {
     RELGO_RETURN_NOT_OK(columns_[i].AppendValue(values[i]));
   }
   ++num_rows_;
-  version_.fetch_add(1, std::memory_order_release);
+  version_.store(NextStorageVersion(), std::memory_order_release);
   std::lock_guard<std::mutex> lock(key_index_mu_);
   key_indexes_.clear();
   return Status::OK();
@@ -34,7 +39,7 @@ Status Table::AppendRow(const std::vector<Value>& values) {
 
 void Table::FinishBulkAppend() {
   num_rows_ = columns_.empty() ? 0 : columns_[0].size();
-  version_.fetch_add(1, std::memory_order_release);
+  version_.store(NextStorageVersion(), std::memory_order_release);
   std::lock_guard<std::mutex> lock(key_index_mu_);
   key_indexes_.clear();
 }

@@ -14,6 +14,13 @@
 namespace relgo {
 namespace storage {
 
+/// Draws the next value of the process-wide storage version counter.
+/// Every table version and every catalog create/drop stamp comes from it,
+/// so one value names one table state in the whole process: a dropped
+/// and re-created table never shows a version that an entry cached
+/// against its predecessor carries.
+uint64_t NextStorageVersion();
+
 /// An in-memory columnar relation.
 ///
 /// Tables serve double duty: base relations registered in the Catalog, and
@@ -53,9 +60,9 @@ class Table {
   Result<const std::unordered_map<int64_t, uint64_t>*> GetKeyIndex(
       const std::string& column_name) const;
 
-  /// Monotonic mutation counter, bumped by every append. Consumed by the
-  /// cross-query scan cache (exec::ScanCache) to drop selection vectors
-  /// computed against older contents of this table.
+  /// Version of this table's contents: drawn from NextStorageVersion at
+  /// construction and again by every append. Stamps the cross-query scan
+  /// cache's filter bitmaps (exec::ScanCache).
   uint64_t version() const {
     return version_.load(std::memory_order_acquire);
   }
@@ -71,7 +78,7 @@ class Table {
   Schema schema_;
   std::vector<Column> columns_;
   uint64_t num_rows_ = 0;
-  std::atomic<uint64_t> version_{0};
+  std::atomic<uint64_t> version_{NextStorageVersion()};
   /// Serializes the lazy key-index build (concurrent queries hit the same
   /// base tables); mutation paths also take it so the cache clear cannot
   /// race a build.

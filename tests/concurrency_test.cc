@@ -4,10 +4,11 @@
 // publication by LIMIT early-exit scans, cache on/off parity — results
 // and per-node actual rows identical across all ten optimizer modes on
 // the pipeline engine, the only one that reads the cache —,
-// invalidation on base-table mutation, and concurrent Run / RunProfiled
-// (adaptive statistics on) against one shared Database, which is what
-// the process-wide worker pool and the stats_mu_ serialization exist
-// for. The TSan CI job runs this suite at 4 worker threads.
+// invalidation on base-table mutation and on drop + re-create (scan and
+// plan cache), and concurrent Run / RunProfiled (adaptive statistics on)
+// against one shared Database, which is what the process-wide worker pool
+// and the stats_mu_ serialization exist for. The TSan CI job runs this
+// suite at 4 worker threads.
 
 #include <gtest/gtest.h>
 
@@ -136,6 +137,66 @@ TEST(ScanCachePublicationTest, PlainLimitScanPublishesItsFilter) {
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
   EXPECT_GT(db.scan_cache().stats().hits, hits_before);
   EXPECT_EQ(testing::SortedRows(**warm), testing::SortedRows(**cold));
+}
+
+// Drop + re-create: T is (re)loaded with one FinishBulkAppend, so both
+// incarnations went through the same number of appends. Their versions
+// still differ (one process-wide counter), so the filter scan over the new
+// T must never replay the bitmap cached for the old one.
+class ScanCacheRecreateTest : public ::testing::Test {
+ protected:
+  /// (Re)creates T(id, grp) with `rows` rows; only row `match` has grp 1.
+  void CreateT(int64_t rows, int64_t match) {
+    auto t = db_.CreateTable(
+        "T", storage::Schema({storage::ColumnDef{"id", LogicalType::kInt64},
+                              storage::ColumnDef{"grp", LogicalType::kInt64}}));
+    ASSERT_TRUE(t.ok()) << t.status().ToString();
+    for (int64_t r = 0; r < rows; ++r) {
+      (*t)->column(0).AppendInt(r);
+      (*t)->column(1).AppendInt(r == match ? 1 : 0);
+    }
+    (*t)->FinishBulkAppend();
+  }
+
+  /// The ids `grp = 1` selects, scanned through the scan cache.
+  std::vector<int64_t> ScanMatches() {
+    plan::PhysScanTable scan;
+    scan.table = "T";
+    scan.alias = "t";
+    scan.filter = storage::Expr::Eq("grp", Value::Int(1));
+    auto out = db_.Execute(
+        scan, Options(exec::EngineKind::kPipeline, 1, /*scan_cache=*/true));
+    EXPECT_TRUE(out.ok()) << out.status().ToString();
+    std::vector<int64_t> ids;
+    if (!out.ok()) return ids;
+    for (uint64_t r = 0; r < (*out)->num_rows(); ++r) {
+      ids.push_back((*out)->GetValue(r, 0).int_value());
+    }
+    return ids;
+  }
+
+  /// Scans a 4-row T whose match is row 0, so its bitmap is cached.
+  void CacheOldT() {
+    CreateT(4, 0);
+    ASSERT_EQ(ScanMatches(), std::vector<int64_t>{0});
+    ASSERT_EQ(db_.scan_cache().entries(), 1u);
+    ASSERT_TRUE(db_.catalog().DropTable("T").ok());
+  }
+
+  Database db_;
+};
+
+TEST_F(ScanCacheRecreateTest, RecreatedTableDoesNotReplayOldBitmap) {
+  CacheOldT();
+  CreateT(4, 3);
+  EXPECT_EQ(ScanMatches(), std::vector<int64_t>{3});
+  EXPECT_EQ(db_.scan_cache().stats().invalidations, 1u);
+}
+
+TEST_F(ScanCacheRecreateTest, LargerRecreatedTableNeverReadsOldBitmap) {
+  CacheOldT();
+  CreateT(3000, 2500);
+  EXPECT_EQ(ScanMatches(), std::vector<int64_t>{2500});
 }
 
 // ---------------------------------------------------------------------------
@@ -289,6 +350,34 @@ TEST_F(ConcurrencyTest, TableMutationInvalidatesCachedScans) {
     if (row.find("Atlantis") != std::string::npos) saw_atlantis = true;
   }
   EXPECT_TRUE(saw_atlantis);
+}
+
+// Drop + re-create Place with the same rows and the same number of
+// appends: the catalog version still moves, so the next Run re-optimizes.
+TEST_F(ConcurrencyTest, RecreatedTableMissesThePlanCache) {
+  plan::SpjmQuery query = FilteredQuery();
+  ASSERT_TRUE(db_.Run(query, OptimizerMode::kRelGo).ok());
+  auto hot = db_.Run(query, OptimizerMode::kRelGo);
+  ASSERT_TRUE(hot.ok());
+  ASSERT_EQ(hot->plan_cache, exec::QueryProfile::PlanCacheStatus::kHit);
+
+  auto place = db_.catalog().GetTable("Place");
+  ASSERT_TRUE(place.ok());
+  storage::TablePtr old = *place;
+  ASSERT_TRUE(db_.catalog().DropTable("Place").ok());
+  auto fresh = db_.CreateTable("Place", old->schema());
+  ASSERT_TRUE(fresh.ok());
+  for (uint64_t r = 0; r < old->num_rows(); ++r) {
+    ASSERT_TRUE((*fresh)
+                    ->AppendRow({old->GetValue(r, 0), old->GetValue(r, 1)})
+                    .ok());
+  }
+
+  auto next = db_.Run(query, OptimizerMode::kRelGo);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(next->plan_cache, exec::QueryProfile::PlanCacheStatus::kMiss);
+  EXPECT_EQ(testing::SortedRows(*next->table),
+            testing::SortedRows(*hot->table));
 }
 
 TEST_F(ConcurrencyTest, ExplainAnalyzeRendersCacheHits) {

@@ -507,12 +507,14 @@ TEST_F(ObsTest, TraceJsonIsWellFormedAndComplete) {
 TEST_F(ObsTest, TracingIsOffByDefaultAndPerQueryOptIn) {
   ASSERT_TRUE(db_.Run(TriangleQuery(), OptimizerMode::kRelGo).ok());
   EXPECT_EQ(db_.trace_sink().size(), 0u);
-  // Per-query opt-in records even while the sink-level switch is off.
+  // SetTracing is the one switch: a query run while it is on records.
   exec::ExecutionOptions options = Options(exec::EngineKind::kPipeline, 2);
-  options.trace = true;
+  db_.SetTracing(true);
   ASSERT_TRUE(db_.Run(TriangleQuery(), OptimizerMode::kRelGo, options).ok());
+  db_.SetTracing(false);
   EXPECT_GT(db_.trace_sink().size(), 0u);
   db_.trace_sink().Clear();
+  ASSERT_TRUE(db_.Run(TriangleQuery(), OptimizerMode::kRelGo, options).ok());
   EXPECT_EQ(db_.trace_sink().size(), 0u);
 }
 
@@ -565,10 +567,11 @@ TEST_F(ObsTest, MetricsOffParityAllModesBothEngines) {
         off.metrics = false;
         exec::ExecutionOptions on = Options(engine, 2);
         on.metrics = true;
-        on.trace = true;
         on.slow_query_ms = 1e-6;
         auto plain = db_.Run(query, mode, off);
+        db_.SetTracing(true);
         auto observed = db_.Run(query, mode, on);
+        db_.SetTracing(false);
         ASSERT_TRUE(plain.ok()) << plain.status().ToString();
         ASSERT_TRUE(observed.ok()) << observed.status().ToString();
         const storage::Table& expect = *plain->table;
