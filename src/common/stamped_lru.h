@@ -34,8 +34,11 @@ struct CacheStats {
 /// value, each entry tagged with the validity stamp it was computed at.
 ///
 /// - Validity is exact, never timed: a lookup under a different stamp
-///   drops the entry (an invalidation) and reports a miss. Stamps only
-///   ever move forward, so a dropped entry could never become valid again.
+///   drops the entry (an invalidation) and reports a miss. A Stamp needs
+///   only ==, no order: the scan cache's is a table version, the
+///   plan cache's a composite (stats epoch plus per-table identity and
+///   drift bucket). Any mismatch counts as stale, even one whose stamp
+///   could come back (a table re-registered under its old identity).
 /// - Eviction is LRU under a budget; each entry costs CostFn(key, value)
 ///   (1 when no CostFn is given, making the budget an entry count).
 /// - Admission is cost-aware: an entry costing more than half the budget
@@ -70,7 +73,7 @@ class StampedLru {
       ++stats_.misses;
       return nullptr;
     }
-    if (it->second->stamp != stamp) {
+    if (!(it->second->stamp == stamp)) {
       ++stats_.invalidations;
       ++stats_.misses;
       EraseLocked(it->second);

@@ -170,10 +170,10 @@ Result<Database::PlannedQuery> Database::PlanQuery(
 
   Timer timer;
   out.cache_key = optimizer::TemplateSignature(query, mode);
-  out.cache_data_version = catalog_.version();
-  uint64_t epoch = stats_epoch_.load(std::memory_order_acquire);
+  out.cache_stamp = optimizer::MakePlanStamp(
+      query, mapping_, catalog_, stats_epoch_.load(std::memory_order_acquire));
   std::shared_ptr<const plan::PhysicalOp> cached =
-      plan_cache_.Get(out.cache_key, epoch, out.cache_data_version);
+      plan_cache_.Get(out.cache_key, out.cache_stamp);
   if (cached != nullptr) {
     // Hit: re-bind the cached template plan against this call's constants
     // (clone-before-Bind — the cached tree is shared and never mutated).
@@ -187,17 +187,17 @@ Result<Database::PlannedQuery> Database::PlanQuery(
         });
     out.optimization_ms = timer.ElapsedMillis();
     out.cache_status = exec::QueryProfile::PlanCacheStatus::kHit;
-    out.cache_epoch = epoch;
     return out;
   }
 
-  uint64_t planned_epoch = 0;
-  auto optimized = OptimizeInternal(query, mode, &planned_epoch);
+  // Miss: the plan publishes under the epoch its optimization actually
+  // read, which an adaptive push may have moved since the lookup.
+  auto optimized =
+      OptimizeInternal(query, mode, &out.cache_stamp.stats_epoch);
   if (!optimized.ok()) return optimized.status();
   out.plan = std::move(optimized->plan);
   out.optimization_ms = optimized->optimization_ms;
   out.cache_status = exec::QueryProfile::PlanCacheStatus::kMiss;
-  out.cache_epoch = planned_epoch;
   return out;
 }
 
@@ -207,8 +207,7 @@ void Database::PublishPlan(
   if (planned.cache_status != exec::QueryProfile::PlanCacheStatus::kMiss) {
     return;
   }
-  plan_cache_.Put(planned.cache_key, planned.cache_epoch,
-                  planned.cache_data_version, std::move(plan));
+  plan_cache_.Put(planned.cache_key, planned.cache_stamp, std::move(plan));
 }
 
 Result<optimizer::OptimizeResult> Database::Optimize(

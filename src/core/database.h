@@ -65,9 +65,12 @@ struct ProfiledRunResult {
 /// against in-flight optimizations internally (stats_mu_). Data loading
 /// (CreateTable, appends, mapping declarations) and Finalize itself are
 /// not concurrent-safe against queries; mutating a base table between
-/// queries is supported — appends and drop + re-create invalidate the
-/// affected scan-cache entries and every cached plan via the
-/// process-wide storage version counter (storage::NextStorageVersion).
+/// queries is supported. Every append moves the table's version, which
+/// invalidates its scan-cache entries. A cached plan is stamped with what
+/// it reads (optimizer::PlanStamp): it survives small appends, re-plans
+/// once a table it reads grew by ~10%, and misses after a drop +
+/// re-create of one (new table identity). Appends to tables it does not
+/// read never touch it.
 ///
 /// Typical lifecycle (see examples/quickstart.cc):
 ///
@@ -153,7 +156,8 @@ class Database {
 
   /// The cross-query plan cache (ROADMAP "Serving tier"): optimized
   /// physical plans keyed by template signature × optimizer mode,
-  /// validated against stats_epoch() and storage::Catalog::version().
+  /// validated against stats_epoch() and the identity and row-count
+  /// drift bucket of each table the query reads (optimizer::PlanStamp).
   /// Consulted by Run/RunProfiled/ExplainAnalyze unless
   /// ExecutionOptions::plan_cache is off or the run is adaptive.
   const optimizer::PlanCache& plan_cache() const { return plan_cache_; }
@@ -324,9 +328,9 @@ class Database {
     double optimization_ms = 0.0;
     exec::QueryProfile::PlanCacheStatus cache_status =
         exec::QueryProfile::PlanCacheStatus::kOff;
-    std::string cache_key;          ///< empty when the cache was bypassed
-    uint64_t cache_epoch = 0;       ///< stats epoch the plan was derived at
-    uint64_t cache_data_version = 0;  ///< catalog version it was derived at
+    std::string cache_key;  ///< empty when the cache was bypassed
+    /// Stats epoch and read-table stamps the plan was derived at.
+    optimizer::PlanStamp cache_stamp;
   };
 
   /// The plan-acquisition chokepoint of Run/RunProfiled: consults the

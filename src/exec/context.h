@@ -115,9 +115,10 @@ struct ExecutionOptions {
   /// "Serving tier"): optimized physical plans are cached by template
   /// signature (query shape with parameter slots in place of constants,
   /// per optimizer mode) and validated against the Database's stats epoch
-  /// and catalog version — so a hit skips optimization entirely and an
-  /// entry is invalidated exactly when adaptive feedback taught the
-  /// estimator something or a table was appended, created or dropped.
+  /// and the identity and row-count drift bucket of each table the query
+  /// reads — so a hit skips optimization entirely and an entry is
+  /// invalidated exactly when adaptive feedback taught the estimator
+  /// something, a read table was re-created, or one grew by ~10%.
   /// The cached plan is re-bound against the call's constants via
   /// clone-before-Bind, and parameterized predicates are estimated
   /// value-insensitively, so cached and fresh runs are bit-identical; on

@@ -208,5 +208,42 @@ storage::ExprPtr RebindExpr(const storage::ExprPtr& e,
   });
 }
 
+PlanStamp MakePlanStamp(const plan::SpjmQuery& query,
+                        const graph::RgMapping& mapping,
+                        const storage::Catalog& catalog,
+                        uint64_t stats_epoch) {
+  PlanStamp stamp;
+  stamp.stats_epoch = stats_epoch;
+  // Each table once, in first-use order: the order is a function of the
+  // query's shape, which TemplateSignature encodes, so one cache key
+  // always stamps the same tables in the same order.
+  std::vector<const std::string*> seen;
+  auto add = [&](const std::string& name) {
+    for (const std::string* s : seen) {
+      if (*s == name) return;
+    }
+    seen.push_back(&name);
+    auto table = catalog.GetTable(name);
+    stamp.tables.push_back(table.ok() ? StampOf(**table) : TableStamp{});
+  };
+  const pattern::PatternGraph& p = query.pattern;
+  for (int i = 0; i < p.num_vertices(); ++i) {
+    int label = p.vertex(i).label;
+    if (label >= 0 &&
+        static_cast<size_t>(label) < mapping.num_vertex_labels()) {
+      add(mapping.vertex_mapping(label).table);
+    }
+  }
+  for (int i = 0; i < p.num_edges(); ++i) {
+    int label = p.edge(i).label;
+    if (label >= 0 &&
+        static_cast<size_t>(label) < mapping.num_edge_labels()) {
+      add(mapping.edge_mapping(label).table);
+    }
+  }
+  for (const auto& j : query.joins) add(j.table);
+  return stamp;
+}
+
 }  // namespace optimizer
 }  // namespace relgo

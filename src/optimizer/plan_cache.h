@@ -5,11 +5,12 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/stamped_lru.h"
+#include "graph/rg_mapping.h"
 #include "optimizer/query_optimizer.h"
+#include "optimizer/stats.h"
 #include "plan/physical_plan.h"
 #include "plan/spjm_query.h"
 
@@ -63,33 +64,47 @@ std::unordered_map<int, Value> CollectBoundParams(const plan::SpjmQuery& query);
 storage::ExprPtr RebindExpr(const storage::ExprPtr& e,
                             const std::unordered_map<int, Value>& params);
 
+/// Validity stamp of a cached plan: the stats epoch it was optimized at
+/// and the TableStamp of every table the query reads. Those are the
+/// vertex and edge tables behind its pattern's labels, then its joins'
+/// tables, each once, in first-use order. That order is a function of
+/// the query's shape, so one cache key always lists the same tables in
+/// the same order. The stamp is an exact value, never a hash, so no
+/// collision can serve a plan against another table generation. A plan
+/// holds only table, column and alias names and expressions (no row ids
+/// or row data), so it stays correct across appends; the drift buckets
+/// only bound how far the estimates it was chosen under may have moved.
+struct PlanStamp {
+  uint64_t stats_epoch = 0;
+  std::vector<TableStamp> tables;
+
+  bool operator==(const PlanStamp& o) const {
+    return stats_epoch == o.stats_epoch && tables == o.tables;
+  }
+};
+
+/// The stamp `query` would be cached under now: `stats_epoch` plus the
+/// TableStamp, in `catalog`, of each table the query reads through
+/// `mapping` and its joins ({0, 0} for a table that does not exist).
+PlanStamp MakePlanStamp(const plan::SpjmQuery& query,
+                        const graph::RgMapping& mapping,
+                        const storage::Catalog& catalog,
+                        uint64_t stats_epoch);
+
 /// Process-wide cache of optimized physical plans, keyed by
-/// TemplateSignature and stamped with (stats epoch, catalog version) of
-/// the owning Database. Invalidation is exact, never timed: an entry dies
-/// when adaptive feedback taught the estimator something (epoch bump) or
-/// the catalog changed under it (storage::Catalog::version moves on every
-/// append, create and drop). Policy is StampedLru's with unit cost, so
-/// the budget is an entry count.
-class PlanCache
-    : public StampedLru<plan::PhysicalOp, std::pair<uint64_t, uint64_t>> {
+/// TemplateSignature and stamped with the PlanStamp of the tables the
+/// plan reads. Invalidation is exact, never timed: an entry dies when
+/// adaptive feedback taught the estimator something (epoch bump), when a
+/// table it reads was dropped and re-created (new identity), or when one
+/// grew by ~10% (drift bucket). A one-row append keeps every plan, and an
+/// append to a table a plan does not read never touches it. Policy is
+/// StampedLru's with unit cost, so the budget is an entry count. Callers
+/// only Put after the plan executed successfully (the same
+/// no-publish-on-failure chokepoint the scan cache uses), so a cancelled
+/// or faulted query never seeds the cache.
+class PlanCache : public StampedLru<plan::PhysicalOp, PlanStamp> {
  public:
   explicit PlanCache(size_t capacity = 256) : StampedLru(capacity) {}
-
-  /// The cached plan for `key` if present and still valid against
-  /// (stats_epoch, data_version); otherwise a miss.
-  Ptr Get(const std::string& key, uint64_t stats_epoch,
-          uint64_t data_version) {
-    return StampedLru::Get(key, {stats_epoch, data_version});
-  }
-
-  /// Publishes a plan under `key`. Callers only publish after the plan
-  /// executed successfully (the same no-publish-on-failure chokepoint the
-  /// scan cache uses), so a cancelled or faulted query never seeds the
-  /// cache.
-  void Put(const std::string& key, uint64_t stats_epoch,
-           uint64_t data_version, Ptr plan) {
-    StampedLru::Put(key, {stats_epoch, data_version}, std::move(plan));
-  }
 };
 
 }  // namespace optimizer

@@ -1,6 +1,7 @@
 #include "optimizer/stats.h"
 
 #include <algorithm>
+#include <cmath>
 #include <unordered_set>
 
 namespace relgo {
@@ -11,17 +12,30 @@ double TableStats::Cardinality(const std::string& table) const {
   return t.ok() ? static_cast<double>((*t)->num_rows()) : 0.0;
 }
 
+uint32_t DriftBucket(uint64_t rows) {
+  static const double kInvLogRatio = 1.0 / std::log(1.1);
+  return static_cast<uint32_t>(
+      std::log(static_cast<double>(rows) + 50.0) * kInvLogRatio);
+}
+
+TableStamp StampOf(const storage::Table& table) {
+  return {table.identity(), DriftBucket(table.num_rows())};
+}
+
 double TableStats::DistinctCount(const std::string& table,
                                  const std::string& column) const {
+  auto t = catalog_->GetTable(table);
+  if (!t.ok()) return 1.0;
+  const TableStamp stamp = StampOf(**t);
   std::string key = table + "." + column;
   {
     std::lock_guard<std::mutex> lock(distinct_mu_);
     auto cached = distinct_cache_.find(key);
-    if (cached != distinct_cache_.end()) return cached->second;
+    if (cached != distinct_cache_.end() && cached->second.stamp == stamp) {
+      return cached->second.count;
+    }
   }
 
-  auto t = catalog_->GetTable(table);
-  if (!t.ok()) return 1.0;
   const storage::Column* col = (*t)->FindColumn(column);
   double result = 1.0;
   if (col != nullptr && col->type() == LogicalType::kInt64) {
@@ -36,7 +50,7 @@ double TableStats::DistinctCount(const std::string& table,
     result = std::max(1.0, static_cast<double>((*t)->num_rows()) / 10.0);
   }
   std::lock_guard<std::mutex> lock(distinct_mu_);
-  distinct_cache_[key] = result;
+  distinct_cache_[key] = {stamp, result};
   return result;
 }
 

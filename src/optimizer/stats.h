@@ -1,6 +1,7 @@
 #ifndef RELGO_OPTIMIZER_STATS_H_
 #define RELGO_OPTIMIZER_STATS_H_
 
+#include <cstdint>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -12,6 +13,28 @@
 
 namespace relgo {
 namespace optimizer {
+
+/// Row-count drift bucket: floor(log_1.1(rows + 50)). Moves once the
+/// table grew by ~10% (PostgreSQL autoanalyze's "50 rows + 10%"), so one
+/// small append keeps it and steady growth moves it once per ~10%.
+uint32_t DriftBucket(uint64_t rows);
+
+/// What optimizer state derived from one table is valid for: the table's
+/// creation identity (storage::Table::identity) and its row-count drift
+/// bucket. Appends within a bucket keep it; ~10% growth or a drop +
+/// re-create changes it. A missing table stamps as {0, 0}, which no live
+/// table has (identities start at 1).
+struct TableStamp {
+  uint64_t identity = 0;
+  uint32_t drift_bucket = 0;
+
+  bool operator==(const TableStamp& o) const {
+    return identity == o.identity && drift_bucket == o.drift_bucket;
+  }
+};
+
+/// `table`'s stamp as of now.
+TableStamp StampOf(const storage::Table& table);
 
 /// Low-order relational statistics: table cardinalities, per-column
 /// distinct counts, and predicate selectivities.
@@ -30,8 +53,11 @@ class TableStats {
   double Cardinality(const std::string& table) const;
 
   /// Number of distinct values of an int64 column (exact, cached).
-  /// Thread-safe: concurrent optimizations of different queries share the
-  /// cache; racing threads may both compute a cold entry (same value).
+  /// A cached count is served only while the table's TableStamp is the
+  /// one it was counted at, so a re-created table or one that grew by
+  /// ~10% is counted again. Thread-safe: concurrent optimizations of
+  /// different queries share the cache; racing threads may both compute
+  /// a cold entry (same value).
   double DistinctCount(const std::string& table,
                        const std::string& column) const;
 
@@ -62,8 +88,15 @@ class TableStats {
  private:
   const storage::Catalog* catalog_;
   const StatsFeedback* feedback_ = nullptr;
+  struct CachedDistinct {
+    TableStamp stamp;
+    double count = 1.0;
+  };
   mutable std::mutex distinct_mu_;  ///< guards distinct_cache_
-  mutable std::unordered_map<std::string, double> distinct_cache_;
+  /// "table.column" -> the count and the stamp it was taken at; a stale
+  /// entry is overwritten in place, so the map never outgrows the
+  /// columns ever asked about.
+  mutable std::unordered_map<std::string, CachedDistinct> distinct_cache_;
 };
 
 }  // namespace optimizer

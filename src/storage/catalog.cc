@@ -11,7 +11,6 @@ Result<TablePtr> Catalog::CreateTable(const std::string& name, Schema schema) {
   }
   auto table = std::make_shared<Table>(name, std::move(schema));
   tables_[name] = table;
-  ddl_version_ = NextStorageVersion();
   return table;
 }
 
@@ -21,7 +20,6 @@ Status Catalog::RegisterTable(TablePtr table) {
     return Status::AlreadyExists("table '" + table->name() + "' exists");
   }
   tables_[table->name()] = std::move(table);
-  ddl_version_ = NextStorageVersion();
   return Status::OK();
 }
 
@@ -37,7 +35,6 @@ Status Catalog::DropTable(const std::string& name) {
   if (!tables_.erase(name)) {
     return Status::NotFound("table '" + name + "' not found");
   }
-  ddl_version_ = NextStorageVersion();
   return Status::OK();
 }
 
@@ -53,12 +50,6 @@ uint64_t Catalog::TotalRows() const {
   uint64_t total = 0;
   for (const auto& [_, t] : tables_) total += t->num_rows();
   return total;
-}
-
-uint64_t Catalog::version() const {
-  uint64_t version = ddl_version_;
-  for (const auto& [_, t] : tables_) version = std::max(version, t->version());
-  return version;
 }
 
 }  // namespace storage

@@ -29,16 +29,8 @@ class Catalog {
   /// Sum of rows across all registered tables (used in dataset statistics).
   uint64_t TotalRows() const;
 
-  /// Version of the catalog as a whole: the largest of its tables'
-  /// versions and its last create/register/drop stamp. All of them come
-  /// from NextStorageVersion, so every append to a registered table and
-  /// every CreateTable, RegisterTable and DropTable moves it forward.
-  /// Stamps the cross-query plan cache.
-  uint64_t version() const;
-
  private:
   std::unordered_map<std::string, TablePtr> tables_;
-  uint64_t ddl_version_ = 0;
 };
 
 }  // namespace storage

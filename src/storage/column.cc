@@ -59,43 +59,69 @@ void Column::AppendInts(const int64_t* data, uint64_t count) {
   size_ += count;
 }
 
-Status Column::AppendValue(const Value& v) {
-  if (v.is_null()) {
-    AppendNull();
-    return Status::OK();
-  }
+Status Column::CheckValue(const Value& v) const {
+  if (v.is_null()) return Status::OK();
+  bool accepted = false;
   switch (type_) {
     case LogicalType::kBool:
-      if (v.type() != LogicalType::kBool) break;
-      AppendInt(v.bool_value() ? 1 : 0);
-      return Status::OK();
+      accepted = v.type() == LogicalType::kBool;
+      break;
     case LogicalType::kInt64:
-      if (v.type() != LogicalType::kInt64) break;
-      AppendInt(v.int_value());
-      return Status::OK();
+      accepted = v.type() == LogicalType::kInt64;
+      break;
     case LogicalType::kDate:
-      if (v.type() != LogicalType::kDate && v.type() != LogicalType::kInt64)
-        break;
-      AppendInt(v.type() == LogicalType::kDate ? v.date_value()
-                                               : v.int_value());
-      return Status::OK();
+      accepted = v.type() == LogicalType::kDate ||
+                 v.type() == LogicalType::kInt64;
+      break;
     case LogicalType::kDouble:
-      if (v.type() != LogicalType::kDouble && v.type() != LogicalType::kInt64)
-        break;
-      AppendDouble(v.type() == LogicalType::kDouble
-                       ? v.double_value()
-                       : static_cast<double>(v.int_value()));
-      return Status::OK();
+      accepted = v.type() == LogicalType::kDouble ||
+                 v.type() == LogicalType::kInt64;
+      break;
     case LogicalType::kString:
-      if (v.type() != LogicalType::kString) break;
-      AppendString(v.string_value());
-      return Status::OK();
+      accepted = v.type() == LogicalType::kString;
+      break;
     case LogicalType::kNull:
       break;
   }
+  if (accepted) return Status::OK();
   return Status::InvalidArgument(
       std::string("type mismatch appending ") + LogicalTypeName(v.type()) +
       " into column of " + LogicalTypeName(type_));
+}
+
+Status Column::AppendValue(const Value& v) {
+  RELGO_RETURN_NOT_OK(CheckValue(v));
+  AppendCheckedValue(v);
+  return Status::OK();
+}
+
+void Column::AppendCheckedValue(const Value& v) {
+  if (v.is_null()) {
+    AppendNull();
+    return;
+  }
+  switch (type_) {
+    case LogicalType::kBool:
+      AppendInt(v.bool_value() ? 1 : 0);
+      break;
+    case LogicalType::kInt64:
+      AppendInt(v.int_value());
+      break;
+    case LogicalType::kDate:
+      AppendInt(v.type() == LogicalType::kDate ? v.date_value()
+                                               : v.int_value());
+      break;
+    case LogicalType::kDouble:
+      AppendDouble(v.type() == LogicalType::kDouble
+                       ? v.double_value()
+                       : static_cast<double>(v.int_value()));
+      break;
+    case LogicalType::kString:
+      AppendString(v.string_value());
+      break;
+    case LogicalType::kNull:
+      break;  // CheckValue refuses every non-NULL value
+  }
 }
 
 Value Column::GetValue(uint64_t i) const {

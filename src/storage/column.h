@@ -90,8 +90,17 @@ class Column {
   /// int64-payload types (kInt64 / kBool / kDate).
   void AppendInts(const int64_t* data, uint64_t count);
 
-  /// Appends a boxed value; must match the column type (or be NULL).
+  /// Whether AppendValue would accept `v`: NULL, or a value of the column
+  /// type (kDate and kDouble also take kInt64). Appends nothing.
+  Status CheckValue(const Value& v) const;
+
+  /// Appends a boxed value; fails (appending nothing) unless it passes
+  /// CheckValue.
   Status AppendValue(const Value& v);
+
+  /// Appends a boxed value the caller has already passed through
+  /// CheckValue; does not check again.
+  void AppendCheckedValue(const Value& v);
 
   /// Unchecked typed accessors for hot paths.
   int64_t int_at(uint64_t i) const { return ints_[i]; }

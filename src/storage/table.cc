@@ -27,8 +27,13 @@ Status Table::AppendRow(const std::vector<Value>& values) {
   if (values.size() != columns_.size()) {
     return Status::InvalidArgument("row arity mismatch for table " + name_);
   }
+  // Check the whole row before touching any column, so a rejected row
+  // leaves every column at num_rows_.
   for (size_t i = 0; i < values.size(); ++i) {
-    RELGO_RETURN_NOT_OK(columns_[i].AppendValue(values[i]));
+    RELGO_RETURN_NOT_OK(columns_[i].CheckValue(values[i]));
+  }
+  for (size_t i = 0; i < values.size(); ++i) {
+    columns_[i].AppendCheckedValue(values[i]);
   }
   ++num_rows_;
   version_.store(NextStorageVersion(), std::memory_order_release);

@@ -15,10 +15,10 @@ namespace relgo {
 namespace storage {
 
 /// Draws the next value of the process-wide storage version counter.
-/// Every table version and every catalog create/drop stamp comes from it,
-/// so one value names one table state in the whole process: a dropped
-/// and re-created table never shows a version that an entry cached
-/// against its predecessor carries.
+/// Every table identity and version comes from it, so one value names one
+/// table (or table state) in the whole process: a dropped and re-created
+/// table never shows an identity or version that an entry cached against
+/// its predecessor carries.
 uint64_t NextStorageVersion();
 
 /// An in-memory columnar relation.
@@ -43,6 +43,8 @@ class Table {
   const Column* FindColumn(const std::string& name) const;
 
   /// Appends a full row of boxed values (arity must match the schema).
+  /// All-or-nothing: every value is checked against its column's type
+  /// before the first column grows, so a rejected row appends nothing.
   Status AppendRow(const std::vector<Value>& values);
 
   /// Row-count bump for callers that append via typed column APIs directly;
@@ -67,6 +69,13 @@ class Table {
     return version_.load(std::memory_order_acquire);
   }
 
+  /// Creation identity: drawn from NextStorageVersion once at
+  /// construction and never changed, so appends keep it and a dropped and
+  /// re-created table gets a new one. Stamps what the optimizer derives
+  /// from the table (plan-cache entries, distinct counts), which outlives
+  /// appends but not the table.
+  uint64_t identity() const { return identity_; }
+
   /// Renders up to `max_rows` rows for debugging/examples.
   std::string ToString(uint64_t max_rows = 10) const;
 
@@ -78,6 +87,7 @@ class Table {
   Schema schema_;
   std::vector<Column> columns_;
   uint64_t num_rows_ = 0;
+  const uint64_t identity_ = NextStorageVersion();
   std::atomic<uint64_t> version_{NextStorageVersion()};
   /// Serializes the lazy key-index build (concurrent queries hit the same
   /// base tables); mutation paths also take it so the cache clear cannot

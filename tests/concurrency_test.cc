@@ -353,7 +353,7 @@ TEST_F(ConcurrencyTest, TableMutationInvalidatesCachedScans) {
 }
 
 // Drop + re-create Place with the same rows and the same number of
-// appends: the catalog version still moves, so the next Run re-optimizes.
+// appends: the new table has a new identity, so the next Run re-optimizes.
 TEST_F(ConcurrencyTest, RecreatedTableMissesThePlanCache) {
   plan::SpjmQuery query = FilteredQuery();
   ASSERT_TRUE(db_.Run(query, OptimizerMode::kRelGo).ok());

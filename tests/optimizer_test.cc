@@ -300,6 +300,33 @@ TEST_F(StatsTest, DistinctCountsExact) {
   EXPECT_DOUBLE_EQ(stats.Cardinality("Ghost"), 0.0);
 }
 
+// The distinct-count cache follows the table, not its name: a re-created
+// table is counted afresh, and so is one that grew past a drift bucket.
+TEST_F(StatsTest, DistinctCountFollowsRecreationAndGrowth) {
+  TableStats stats(&db_.catalog());
+  EXPECT_DOUBLE_EQ(stats.DistinctCount("Place", "id"), 3.0);
+
+  auto old = db_.catalog().GetTable("Place");
+  ASSERT_TRUE(old.ok());
+  ASSERT_TRUE(db_.catalog().DropTable("Place").ok());
+  auto fresh = db_.CreateTable("Place", (*old)->schema());
+  ASSERT_TRUE(fresh.ok());
+  for (int64_t id : {7, 7}) {
+    ASSERT_TRUE(
+        (*fresh)->AppendRow({Value::Int(id), Value::String("Nowhere")}).ok());
+  }
+  EXPECT_DOUBLE_EQ(stats.DistinctCount("Place", "id"), 1.0)
+      << "a re-created table must not inherit its predecessor's count";
+
+  ASSERT_NE(optimizer::DriftBucket(2), optimizer::DriftBucket(22));
+  for (int64_t id = 100; id < 120; ++id) {
+    ASSERT_TRUE(
+        (*fresh)->AppendRow({Value::Int(id), Value::String("Nowhere")}).ok());
+  }
+  EXPECT_DOUBLE_EQ(stats.DistinctCount("Place", "id"), 21.0)
+      << "growth past a drift bucket recounts";
+}
+
 TEST_F(StatsTest, HeuristicVsSampledSelectivity) {
   TableStats stats(&db_.catalog());
   auto person = *db_.catalog().GetTable("Person");

@@ -6,8 +6,10 @@
 // against each call's constants (clone-before-Bind) and the optimizer
 // estimates slotted constants value-insensitively. Invalidation is
 // exact, never timed: an adaptive feedback push bumps the stats epoch,
-// a table append bumps the catalog data version, and either kills the
-// entry on its next lookup (counted once). A cancelled, faulted, timed
+// ~10% growth of a table the plan reads moves that table's drift bucket,
+// and either kills the entry on its next lookup (counted once). A
+// one-row append keeps the plan, and an append to a table the plan does
+// not read never touches it. A cancelled, faulted, timed
 // out or OOM'd query never publishes a plan. The TSan job runs this
 // suite explicitly (alongside the lifecycle storm it extends).
 
@@ -212,22 +214,25 @@ TEST_F(PlanCacheTest, LruEvictionAndStaleEntryInvalidation) {
     EXPECT_TRUE(opt.ok());
     return std::shared_ptr<const plan::PhysicalOp>(std::move(opt->plan));
   };
+  auto stamp = [](uint64_t epoch, uint32_t bucket) {
+    return optimizer::PlanStamp{epoch, {{7, bucket}}};
+  };
   optimizer::PlanCache cache(2);
-  cache.Put("k1", 1, 1, make_plan());
-  cache.Put("k2", 1, 1, make_plan());
+  cache.Put("k1", stamp(1, 1), make_plan());
+  cache.Put("k2", stamp(1, 1), make_plan());
   EXPECT_EQ(cache.entries(), 2u);
-  EXPECT_NE(cache.Get("k1", 1, 1), nullptr);  // k1 now MRU
-  cache.Put("k3", 1, 1, make_plan());         // evicts k2 (LRU)
+  EXPECT_NE(cache.Get("k1", stamp(1, 1)), nullptr);  // k1 now MRU
+  cache.Put("k3", stamp(1, 1), make_plan());         // evicts k2 (LRU)
   EXPECT_EQ(cache.entries(), 2u);
-  EXPECT_EQ(cache.Get("k2", 1, 1), nullptr);
-  EXPECT_NE(cache.Get("k3", 1, 1), nullptr);
+  EXPECT_EQ(cache.Get("k2", stamp(1, 1)), nullptr);
+  EXPECT_NE(cache.Get("k3", stamp(1, 1)), nullptr);
 
-  // Stale epoch and stale data version both erase-and-miss, counted as
+  // Stale epoch and stale table stamp both erase-and-miss, counted as
   // invalidations; the key re-enters on the next Put.
-  EXPECT_EQ(cache.Get("k1", 2, 1), nullptr) << "stats epoch moved";
-  cache.Put("k1", 2, 1, make_plan());
-  EXPECT_NE(cache.Get("k1", 2, 1), nullptr);
-  EXPECT_EQ(cache.Get("k1", 2, 9), nullptr) << "data version moved";
+  EXPECT_EQ(cache.Get("k1", stamp(2, 1)), nullptr) << "stats epoch moved";
+  cache.Put("k1", stamp(2, 1), make_plan());
+  EXPECT_NE(cache.Get("k1", stamp(2, 1)), nullptr);
+  EXPECT_EQ(cache.Get("k1", stamp(2, 9)), nullptr) << "drift bucket moved";
 
   optimizer::PlanCache::Stats s = cache.stats();
   EXPECT_EQ(s.hits, 3u);
@@ -330,8 +335,22 @@ TEST_F(PlanCacheTest, FeedbackEpochBumpReoptimizesHotTemplateExactlyOnce) {
   EXPECT_EQ(after.invalidations - before.invalidations, 1u);
 }
 
-TEST_F(PlanCacheTest, TableAppendInvalidatesViaDataVersion) {
-  plan::SpjmQuery query = FilteredQuery();
+// Appends of rows no query result references: Place ids 400+ join no
+// person, Message rows are liked by nobody. Results must not move, and
+// the plan cache must follow the drift rule of the tables each plan
+// reads.
+Status AppendUnreferenced(Database* db, const std::string& table, int count) {
+  RELGO_ASSIGN_OR_RETURN(auto t, db->catalog().GetTable(table));
+  for (int i = 0; i < count; ++i) {
+    int64_t id = 400 + static_cast<int64_t>(t->num_rows());
+    RELGO_RETURN_NOT_OK(
+        t->AppendRow({Value::Int(id), Value::String("Atlantis")}));
+  }
+  return Status::OK();
+}
+
+TEST_F(PlanCacheTest, OneRowAppendToReadTableKeepsThePlan) {
+  plan::SpjmQuery query = FilteredQuery();  // reads Place via its join
   exec::ExecutionOptions options = Options(EngineKind::kMaterialize);
   options.scan_cache = false;  // the scan cache has its own staleness story
   ASSERT_TRUE(db_.Run(query, OptimizerMode::kRelGo, options).ok());
@@ -340,26 +359,69 @@ TEST_F(PlanCacheTest, TableAppendInvalidatesViaDataVersion) {
   ASSERT_EQ(hot->plan_cache, PlanCacheStatus::kHit);
   std::vector<std::string> expect = testing::SortedRows(*hot->table);
 
-  // Append a Place row no existing person references: the catalog data
-  // version moves, the results must not.
-  auto place = db_.catalog().GetTable("Place");
-  ASSERT_TRUE(place.ok());
-  ASSERT_TRUE(
-      (*place)
-          ->AppendRow({Value::Int(400), Value::String("Atlantis")})
-          .ok());
+  ASSERT_EQ(optimizer::DriftBucket(3), optimizer::DriftBucket(4))
+      << "precondition: 3 -> 4 Place rows stays in one drift bucket";
+  optimizer::PlanCache::Stats before = db_.plan_cache().stats();
+  ASSERT_TRUE(AppendUnreferenced(&db_, "Place", 1).ok());
+  auto next = db_.Run(query, OptimizerMode::kRelGo, options);
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(next->plan_cache, PlanCacheStatus::kHit)
+      << "a one-row append must keep the plan";
+  EXPECT_EQ(testing::SortedRows(*next->table), expect);
+  EXPECT_EQ(db_.plan_cache().stats().invalidations, before.invalidations);
+}
 
+TEST_F(PlanCacheTest, DoublingReadTableReplansExactlyOnce) {
+  plan::SpjmQuery query = FilteredQuery();
+  exec::ExecutionOptions options = Options(EngineKind::kMaterialize);
+  options.scan_cache = false;
+  ASSERT_TRUE(db_.Run(query, OptimizerMode::kRelGo, options).ok());
+  auto hot = db_.Run(query, OptimizerMode::kRelGo, options);
+  ASSERT_TRUE(hot.ok());
+  ASSERT_EQ(hot->plan_cache, PlanCacheStatus::kHit);
+  std::vector<std::string> expect = testing::SortedRows(*hot->table);
+
+  ASSERT_NE(optimizer::DriftBucket(3), optimizer::DriftBucket(6))
+      << "precondition: 3 -> 6 Place rows crosses a drift bucket";
+  ASSERT_TRUE(AppendUnreferenced(&db_, "Place", 3).ok());
   optimizer::PlanCache::Stats before = db_.plan_cache().stats();
   auto reopt = db_.Run(query, OptimizerMode::kRelGo, options);
   ASSERT_TRUE(reopt.ok());
   EXPECT_EQ(reopt->plan_cache, PlanCacheStatus::kMiss)
-      << "a table version bump must invalidate";
+      << "doubling a read table must re-plan";
   EXPECT_EQ(testing::SortedRows(*reopt->table), expect);
-  EXPECT_EQ(db_.plan_cache().stats().invalidations - before.invalidations,
-            1u);
-  auto warm = db_.Run(query, OptimizerMode::kRelGo, options);
-  ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(warm->plan_cache, PlanCacheStatus::kHit);
+  for (int i = 0; i < 2; ++i) {
+    auto warm = db_.Run(query, OptimizerMode::kRelGo, options);
+    ASSERT_TRUE(warm.ok());
+    EXPECT_EQ(warm->plan_cache, PlanCacheStatus::kHit);
+    EXPECT_EQ(testing::SortedRows(*warm->table), expect);
+  }
+  optimizer::PlanCache::Stats after = db_.plan_cache().stats();
+  EXPECT_EQ(after.misses - before.misses, 1u);
+  EXPECT_EQ(after.invalidations - before.invalidations, 1u);
+  EXPECT_EQ(after.hits - before.hits, 2u);
+}
+
+TEST_F(PlanCacheTest, AppendToUnreadTableNeverInvalidates) {
+  plan::SpjmQuery query = VertexPredQuery();  // reads Person and Knows only
+  exec::ExecutionOptions options = Options(EngineKind::kMaterialize);
+  options.scan_cache = false;
+  auto cold = db_.Run(query, OptimizerMode::kRelGo, options);
+  ASSERT_TRUE(cold.ok());
+  std::vector<std::string> expect = testing::SortedRows(*cold->table);
+
+  optimizer::PlanCache::Stats before = db_.plan_cache().stats();
+  // Grow Place and Message far past a drift bucket between runs.
+  for (const char* table : {"Place", "Message"}) {
+    ASSERT_TRUE(AppendUnreferenced(&db_, table, 100).ok());
+    auto next = db_.Run(query, OptimizerMode::kRelGo, options);
+    ASSERT_TRUE(next.ok());
+    EXPECT_EQ(next->plan_cache, PlanCacheStatus::kHit) << table;
+    EXPECT_EQ(testing::SortedRows(*next->table), expect);
+  }
+  optimizer::PlanCache::Stats after = db_.plan_cache().stats();
+  EXPECT_EQ(after.invalidations, before.invalidations);
+  EXPECT_EQ(after.hits - before.hits, 2u);
 }
 
 // The no-publish-on-failure chokepoint, for every failure class that can

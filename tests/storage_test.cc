@@ -85,6 +85,45 @@ TEST(TableTest, AppendRowArityChecked) {
   EXPECT_EQ(t.num_rows(), 0u);
 }
 
+// A row with one ill-typed value appends nothing: no column may keep
+// the values checked before the bad one.
+TEST(TableTest, FailedAppendRowLeavesEveryColumnUntouched) {
+  Table t("pairs", Schema({ColumnDef{"a", LogicalType::kInt64},
+                           ColumnDef{"b", LogicalType::kInt64}}));
+  uint64_t version = t.version();
+  EXPECT_FALSE(t.AppendRow({Value::Int(1), Value::String("x")}).ok());
+  EXPECT_EQ(t.num_rows(), 0u);
+  EXPECT_EQ(t.column(0).size(), 0u);
+  EXPECT_EQ(t.column(1).size(), 0u);
+  EXPECT_EQ(t.version(), version) << "a rejected row is not an append";
+
+  ASSERT_TRUE(t.AppendRow({Value::Int(2), Value::Int(3)}).ok());
+  EXPECT_EQ(t.num_rows(), 1u);
+  EXPECT_EQ(t.column(0).size(), 1u);
+  EXPECT_EQ(t.column(1).size(), 1u);
+  EXPECT_EQ(t.GetValue(0, 0).int_value(), 2);
+  EXPECT_EQ(t.GetValue(0, 1).int_value(), 3);
+}
+
+TEST(TableTest, IdentitySurvivesAppendsButNotRecreation) {
+  Catalog cat;
+  auto first = cat.CreateTable("a", PersonSchema());
+  ASSERT_TRUE(first.ok());
+  uint64_t identity = (*first)->identity();
+  uint64_t version = (*first)->version();
+  ASSERT_TRUE((*first)
+                  ->AppendRow({Value::Int(1), Value::String("Ann"),
+                               Value::Int(30), Value::Double(1.5)})
+                  .ok());
+  EXPECT_EQ((*first)->identity(), identity);
+  EXPECT_NE((*first)->version(), version);
+
+  ASSERT_TRUE(cat.DropTable("a").ok());
+  auto second = cat.CreateTable("a", PersonSchema());
+  ASSERT_TRUE(second.ok());
+  EXPECT_NE((*second)->identity(), identity);
+}
+
 TEST(TableTest, KeyIndexLookups) {
   auto t = MakePeople();
   auto index = t->GetKeyIndex("id");
